@@ -23,7 +23,7 @@ from . import variational
 from .hyperbolic_core import PointH3, TangentVec, christoffel, christoffel_fd, \
     inner, riemann_fd
 from .flow_integrator import CotangentState
-from .isometry_group import load_presentation, verify_presentation
+from .isometry_group import load_presentation
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -240,11 +240,12 @@ def run_index(cfg: RunConfig, no_assert=False, constant_chord=False) -> tuple:
     a0 = _resolve_height(cfg.height, rep)
     classes = cord_engine.canonical_classes(rep, a0, cfg.cutoff)
 
-    def one(g):
+    def one(word_class):
+        word, g = word_class
         cord = cord_engine.cord_for_class(g, a0)
         H = variational.hessian(cord, N=cfg.mesh_size)
         idx, nul = variational.index_nullity(H)
-        return {"class_word": g.word, "length": cord.length,
+        return {"class_word": word, "length": cord.length,
                 "index": idx, "nullity": nul,
                 "min_eigenvalue": variational.smallest_eigenvalue(H)}
 
@@ -263,11 +264,13 @@ def run_torus(p, q, ambient, Lmax, out_prefix=None) -> tuple:
     except ValueError as e:
         raise ConfigError(str(e))
     fams = torus_knot_h2r.enumerate_surface_cords(params, Lmax)
-    table = torus_knot_h2r.RankTable({0: len(fams), 1: len(fams)}, Lmax)
+    # each Morse-Bott S^1-family contributes one generator in degree 0 and
+    # one in degree 1
+    n = len(fams)
     report = {"subcommand": "torus", "ok": True,
               "params": {"p": p, "q": q, "ambient": ambient},
               "euler_char": torus_knot_h2r.euler_char(params),
-              "rank_table": table.to_dict()}
+              "rank_table": {"cutoff": Lmax, "counts": {"0": n, "1": n}}}
     if out_prefix:
         with open(f"{out_prefix}_ranks.json", "w") as f:
             json.dump(report, f, indent=1)
@@ -289,9 +292,9 @@ def run_triangle(cfg: RunConfig, words, out_path=None) -> tuple:
         raise ConfigError("triangle needs exactly three class words")
     rep = _load_rep(cfg.input_path)
     a0 = _resolve_height(cfg.height, rep)
-    spec = cord_engine.enumerate_cords(rep, a0, cfg.cutoff)
     try:
-        catalog = triangle_geometry.triangle_catalog(rep, spec, tuple(words))
+        catalog = triangle_geometry.triangle_catalog(rep, a0, cfg.cutoff,
+                                                     tuple(words))
     except ValueError as e:
         raise ConfigError(str(e))
     data = [h.to_dict() for h in catalog]

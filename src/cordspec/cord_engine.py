@@ -1,6 +1,6 @@
 """Geodesic cords of a horo-torus: common perpendiculars between horoballs,
-closed-form lengths, z-profiles, lifts to Hamiltonian chords, and action
-spectrum enumeration over peripheral double cosets."""
+closed-form lengths, z-profiles, and action spectrum enumeration over
+peripheral double cosets."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .hyperbolic_core import PointH3, distance
+from .hyperbolic_core import PointH3
 from .isometry_group import (INFINITY, GroupPresentation, Horoball, Moebius,
                              apply_h3, double_coset_canonical,
                              enumerate_elements, image_horoball)
@@ -26,7 +26,6 @@ class Cord:
     f(t) = 1/z(c(t)) = f0 cosh(l t) + b0 sinh(l t).
     """
 
-    class_word: str
     length: float
     start: PointH3
     end: PointH3
@@ -37,34 +36,32 @@ class Cord:
     _parametric: bool = field(default=True, repr=False)
 
     @classmethod
-    def from_vertical(cls, class_word: str, a0: float, center: complex,
-                      length: float, conjugator: Moebius | None = None) -> "Cord":
+    def from_vertical(cls, a0: float, center: complex, length: float,
+                      conjugator: Moebius | None = None) -> "Cord":
         """Cord that is the vertical segment over ``center`` from z = a0 down
         to z = a0 e^{-length}, optionally pushed forward by ``conjugator``."""
         cx, cy = center.real, center.imag
         start = PointH3(cx, cy, a0)
         end = PointH3(cx, cy, a0 * math.exp(-length))
         centers = (INFINITY, center)
-        cord = cls(class_word, length, start, end, (1.0 / a0, 1.0 / a0),
-                   centers, None, a0)
+        cord = cls(length, start, end, (1.0 / a0, 1.0 / a0), centers,
+                   None, a0)
         if conjugator is not None:
             cord = cord.transformed(conjugator)
         return cord
 
     @classmethod
-    def from_endpoints(cls, class_word: str, start: PointH3, end: PointH3,
+    def from_endpoints(cls, start: PointH3, end: PointH3,
                        length: float) -> "Cord":
         """Cord from endpoint data alone (used by the shooting solver); the
         profile coefficients are recovered from the endpoint heights."""
         f0 = 1.0 / start.z
         f1 = 1.0 / end.z
         b0 = (f1 - f0 * math.cosh(length)) / math.sinh(length)
-        return cls(class_word, length, start, end, (f0, b0),
-                   _parametric=False)
+        return cls(length, start, end, (f0, b0), _parametric=False)
 
     def transformed(self, g: Moebius) -> "Cord":
-        new = Cord(self.class_word, self.length,
-                   apply_h3(g, self.start), apply_h3(g, self.end),
+        new = Cord(self.length, apply_h3(g, self.start), apply_h3(g, self.end),
                    self.profile, tuple(_apply_center(g, c) for c in self.centers),
                    _compose_opt(g, self._conjugator), self._a0)
         f0 = 1.0 / new.start.z
@@ -114,8 +111,7 @@ def _compose_opt(g: Moebius, h: Moebius | None) -> Moebius:
     return g if h is None else g.compose(h)
 
 
-def common_perpendicular(B0: Horoball, B1: Horoball,
-                         class_word: str = "") -> Cord:
+def common_perpendicular(B0: Horoball, B1: Horoball) -> Cord:
     """The unique geodesic arc meeting both horospheres orthogonally,
     parameterized on [0, 1] from B0 to B1.
 
@@ -130,12 +126,12 @@ def common_perpendicular(B0: Horoball, B1: Horoball,
         a0, d = B0.size, B1.size
         if d >= a0 - 1e-12:
             raise ValueError("tangent or overlapping horoballs (no cord)")
-        return Cord.from_vertical(class_word, a0, B1.center, math.log(a0 / d))
+        return Cord.from_vertical(a0, B1.center, math.log(a0 / d))
     # move B0's center to infinity with m: w -> -1/(w - w0)
     m = Moebius(0, -1, 1, -B0.center)
     B0p = image_horoball(m, B0)
     B1p = image_horoball(m, B1)
-    cord = common_perpendicular(B0p, B1p, class_word)
+    cord = common_perpendicular(B0p, B1p)
     return cord.transformed(m.inverse())
 
 
@@ -153,12 +149,7 @@ def cord_length(g: Moebius, a0: float) -> float:
 def cord_for_class(g: Moebius, a0: float) -> Cord:
     """The geodesic cord from {z >= a0} to its image horoball under g."""
     B0 = Horoball(INFINITY, a0)
-    return common_perpendicular(B0, image_horoball(g, B0), class_word=g.word)
-
-
-def z_profile(cord: Cord) -> tuple:
-    """Profile coefficients (f0, b0) with f(t) = f0 cosh(lt) + b0 sinh(lt)."""
-    return cord.profile
+    return common_perpendicular(B0, image_horoball(g, B0))
 
 
 def z_profile_residual(cord: Cord, samples: int = 100) -> float:
@@ -171,33 +162,6 @@ def z_profile_residual(cord: Cord, samples: int = 100) -> float:
         model = f0 * math.cosh(ell * t) + b0 * math.sinh(ell * t)
         worst = max(worst, abs(f - model))
     return worst
-
-
-@dataclass
-class HamiltonianChord:
-    """The cotangent lift (c(t), c'(t)-flat) of a cord; a Hamiltonian
-    trajectory with endpoints on the conormal of the horo-torus."""
-
-    cord: Cord
-
-    def state(self, t: float):
-        from .flow_integrator import CotangentState
-
-        q = self.cord.point(t)
-        v = self.cord.velocity(t)
-        return CotangentState(q, v / q.z**2)  # flat: p_i = v_i / z^2
-
-    def hamiltonian_value(self) -> float:
-        return 0.5 * self.cord.length**2
-
-
-def lift_to_chord(cord: Cord) -> HamiltonianChord:
-    return HamiltonianChord(cord)
-
-
-def action(chord: HamiltonianChord) -> float:
-    """Action of the chord: minus the energy of the underlying cord."""
-    return -chord.cord.energy()
 
 
 @dataclass
@@ -246,8 +210,8 @@ def max_embedded_height(rep: GroupPresentation, search_word_len: int = 8) -> flo
     Returns the default 1.0 when the group has no element with c != 0.
     """
     best = None
-    for g in enumerate_elements(rep, max_radius=12.0,
-                                max_word_len=search_word_len):
+    for _, g in enumerate_elements(rep, max_radius=12.0,
+                                   max_word_len=search_word_len):
         ac = abs(g.c)
         if ac > 1e-9 and (best is None or ac < best):
             best = ac
@@ -256,13 +220,22 @@ def max_embedded_height(rep: GroupPresentation, search_word_len: int = 8) -> flo
     return 1.0 / best
 
 
+def check_embedded(rep: GroupPresentation, a0: float) -> None:
+    """Raise ValueError when a0 is below the embedded-height threshold."""
+    a_min = max_embedded_height(rep)
+    if a0 < a_min - 1e-9:
+        raise ValueError(
+            f"height {a0} below embedded threshold {a_min}: horoballs overlap")
+
+
 def canonical_classes(rep: GroupPresentation, a0: float, Lmax: float,
                       max_word_len: int = 10) -> list:
-    """Deterministic list of canonical double-coset representatives with
-    nondegenerate cord length <= Lmax, sorted by (length, word)."""
+    """Deterministic list of (word, canonical double-coset representative)
+    pairs with nondegenerate cord length <= Lmax, sorted by (length, word).
+    The word is the first enumerated word of the class."""
     classes = {}
-    for g in enumerate_elements(rep, max_radius=Lmax, a0=a0,
-                                max_word_len=max_word_len):
+    for word, g in enumerate_elements(rep, max_radius=Lmax, a0=a0,
+                                      max_word_len=max_word_len):
         ac = abs(g.c)
         if ac < 1e-9:
             continue  # peripheral
@@ -273,10 +246,9 @@ def canonical_classes(rep: GroupPresentation, a0: float, Lmax: float,
         cg = double_coset_canonical(g, rep)
         key = cg.key(6)
         if key not in classes:
-            classes[key] = cg
-    out = sorted(classes.values(),
-                 key=lambda m: (2.0 * math.log(a0 * abs(m.c)), m.word))
-    return out
+            classes[key] = (word, cg)
+    return sorted(classes.values(),
+                  key=lambda wm: (2.0 * math.log(a0 * abs(wm[1].c)), wm[0]))
 
 
 def enumerate_cords(rep: GroupPresentation, a0: float, Lmax: float,
@@ -286,15 +258,12 @@ def enumerate_cords(rep: GroupPresentation, a0: float, Lmax: float,
 
     a0 must be at least the embedded-height threshold of the group.
     """
-    a_min = max_embedded_height(rep)
-    if a0 < a_min - 1e-9:
-        raise ValueError(
-            f"height {a0} below embedded threshold {a_min}: horoballs overlap")
+    check_embedded(rep, a0)
     entries = []
-    for cg in canonical_classes(rep, a0, Lmax, max_word_len):
+    for word, cg in canonical_classes(rep, a0, Lmax, max_word_len):
         ell = cord_length(cg, a0)
         entries.append(SpectrumEntry(
-            class_word=cg.word, length=ell, energy=0.5 * ell**2,
+            class_word=word, length=ell, energy=0.5 * ell**2,
             action=-0.5 * ell**2, f0=1.0 / a0, b0=1.0 / a0))
     entries.sort(key=lambda e: (-e.action, e.class_word))
     return ActionSpectrum(entries, Lmax, a0)

@@ -352,8 +352,8 @@ def shoot_neumann(B0: Horoball, g: Moebius, max_iter: int = 60,
         raise RuntimeError(f"shooting did not converge; residual {F}")
     q1, _ = launch(u)
     q0 = endpoint(u)
-    return cord_engine.Cord.from_endpoints(
-        class_word=g.word, start=q0, end=q1, length=float(u[2]))
+    return cord_engine.Cord.from_endpoints(start=q0, end=q1,
+                                           length=float(u[2]))
 
 
 # ---------------------------------------------------------------------------

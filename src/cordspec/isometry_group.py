@@ -23,26 +23,24 @@ def _is_inf(w) -> bool:
 
 
 class Moebius:
-    """A normalized element of PSL(2,C) with an optional generator word.
+    """A normalized element of PSL(2,C).
 
-    Words are strings over generator letters; uppercase means inverse.
     The matrix is normalized to det 1 and sign-canonicalized so the first
     nonzero entry of (a, b, c, d) has argument in (-pi/2, pi/2].
     """
 
-    __slots__ = ("a", "b", "c", "d", "word")
+    __slots__ = ("a", "b", "c", "d")
 
-    def __init__(self, a, b, c, d, word: str = ""):
+    def __init__(self, a, b, c, d):
         det = a * d - b * c
         s = cmath.sqrt(det)
         a, b, c, d = a / s, b / s, c / s, d / s
         a, b, c, d = _canonical_sign(a, b, c, d)
         self.a, self.b, self.c, self.d = a, b, c, d
-        self.word = word
 
     @classmethod
     def identity(cls) -> "Moebius":
-        return cls(1, 0, 0, 1, "")
+        return cls(1, 0, 0, 1)
 
     def matrix(self) -> np.ndarray:
         return np.array([[self.a, self.b], [self.c, self.d]], dtype=complex)
@@ -53,12 +51,10 @@ class Moebius:
             self.a * other.b + self.b * other.d,
             self.c * other.a + self.d * other.c,
             self.c * other.b + self.d * other.d,
-            word=_free_reduce(self.word + other.word),
         )
 
     def inverse(self) -> "Moebius":
-        return Moebius(self.d, -self.b, -self.c, self.a,
-                       word=invert_word(self.word))
+        return Moebius(self.d, -self.b, -self.c, self.a)
 
     def trace(self) -> complex:
         return self.a + self.d
@@ -74,7 +70,7 @@ class Moebius:
                      for v in pair)
 
     def __repr__(self):
-        return f"Moebius({self.a:.6g}, {self.b:.6g}, {self.c:.6g}, {self.d:.6g}, word={self.word!r})"
+        return f"Moebius({self.a:.6g}, {self.b:.6g}, {self.c:.6g}, {self.d:.6g})"
 
 
 def _canonical_sign(a, b, c, d):
@@ -85,20 +81,6 @@ def _canonical_sign(a, b, c, d):
                 return -a, -b, -c, -d
             return a, b, c, d
     return a, b, c, d
-
-
-def _free_reduce(word: str) -> str:
-    out = []
-    for ch in word:
-        if out and out[-1] == ch.swapcase() and out[-1] != ch:
-            out.pop()
-        else:
-            out.append(ch)
-    return "".join(out)
-
-
-def invert_word(word: str) -> str:
-    return word[::-1].swapcase()
 
 
 def apply_boundary(g: Moebius, w):
@@ -194,11 +176,14 @@ class GroupPresentation:
         return table
 
     def evaluate(self, word: str) -> Moebius:
+        """The product of the letters of ``word``; uppercase means inverse."""
         table = self.letters()
         out = Moebius.identity()
         for ch in word:
             out = out.compose(table[ch])
-        return Moebius(out.a, out.b, out.c, out.d, word=_free_reduce(word))
+        # normalized once more: rounded class keys are built from exactly
+        # these entries
+        return Moebius(out.a, out.b, out.c, out.d)
 
     def lattice_vectors(self) -> tuple:
         (m1, m2), (l1, l2) = self.cusp_lattice
@@ -209,10 +194,10 @@ def load_presentation(path) -> GroupPresentation:
     with open(path) as f:
         data = json.load(f)
     gens = []
-    for i, gd in enumerate(data["generators"]):
+    for gd in data["generators"]:
         a, b = complex(*gd["a"]), complex(*gd["b"])
         c, d = complex(*gd["c"]), complex(*gd["d"])
-        gens.append(Moebius(a, b, c, d, word=chr(ord("a") + i)))
+        gens.append(Moebius(a, b, c, d))
     return GroupPresentation(
         name=data.get("name", "unnamed"),
         generators=gens,
@@ -266,21 +251,20 @@ def enumerate_elements(rep: GroupPresentation, max_radius: float,
                        margin: float = 8.0):
     """Breadth-first enumeration of freely reduced words in the generators.
 
-    Yields elements whose lower-left entry satisfies a0*|c| <= e^{max_radius/2}
-    (so the associated cord length is at most max_radius) together with the
-    peripheral elements (c = 0) encountered.  Prefixes whose |c| exceeds the
-    emission bound by ``margin`` are pruned: for discrete cusped holonomies
-    |c| grows along reduced words once it leaves the peripheral subgroup, and
-    the margin absorbs the non-monotone steps (validated against an unpruned
-    oracle in the tests).  Deterministic order: by word length, then
-    lexicographic word.
+    Yields (word, element) pairs for the elements whose lower-left entry
+    satisfies a0*|c| <= e^{max_radius/2} (so the associated cord length is at
+    most max_radius) together with the peripheral elements (c = 0)
+    encountered.  Prefixes whose |c| exceeds the emission bound by ``margin``
+    are pruned: for discrete cusped holonomies |c| grows along reduced words
+    once it leaves the peripheral subgroup, and the margin absorbs the
+    non-monotone steps (validated against an unpruned oracle in the tests).
+    Deterministic order: by word length, then lexicographic word.
     """
     cmax = math.exp(max_radius / 2.0) / a0
     table = rep.letters()
     letters = sorted(table.keys())
-    emitted = {}
     ident = Moebius.identity()
-    emitted[ident.key()] = ident
+    emitted = {ident.key()}
     frontier = [("", ident)]
     count = 0
     for _ in range(max_word_len):
@@ -290,20 +274,20 @@ def enumerate_elements(rep: GroupPresentation, max_radius: float,
                 if word and word[-1] == ch.swapcase() and word[-1] != ch:
                     continue
                 h = g.compose(table[ch])
-                h.word = word + ch
                 ac = abs(h.c)
                 if ac > margin * cmax:
                     continue
-                nxt.append((h.word, h))
+                w = word + ch
+                nxt.append((w, h))
                 if ac < 1e-12 or ac <= cmax + 1e-12:
                     k = h.key()
                     if k not in emitted:
-                        emitted[k] = h
+                        emitted.add(k)
                         count += 1
                         if count > max_elements:
                             raise BudgetExceeded(
                                 f"element cap {max_elements} exceeded")
-                        yield h
+                        yield w, h
         frontier = nxt
         if not frontier:
             break
@@ -335,4 +319,4 @@ def double_coset_canonical(g: Moebius, rep: GroupPresentation) -> Moebius:
     a = ac * c
     d = dc * c
     b = (a * d - 1.0) / c
-    return Moebius(a, b, c, d, word=g.word)
+    return Moebius(a, b, c, d)

@@ -1,16 +1,16 @@
 """H^2 x R geometry of (p,q)-torus-knot complements in S^3 and S^2 x S^1:
 the symmetric 2p-gon with alternating ideal/interior vertices, parabolic
-face pairings with R-shift bookkeeping, cord-family enumeration over the
-surface holonomy group, and the degree-(0,1) rank table."""
+face pairings with R-shift bookkeeping, and cord-family enumeration over
+the surface holonomy group."""
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .isometry_group import (INFINITY, Horoball, Moebius, apply_boundary,
-                             classify, image_horoball)
+                             image_horoball)
 
 _TOL = 1e-9
 
@@ -167,13 +167,11 @@ def face_pairings(params: TorusKnotParams) -> list:
         fix = _to_halfplane(poly.vertex(2 * i))
         src = apply_boundary(_CAYLEY, poly.vertex(2 * i - 1))
         dst = apply_boundary(_CAYLEY, poly.vertex(2 * i + 1))
-        phi = _parabolic_through(fix, src, dst)
-        phi.word = f"phi{i}"
-        out.append(FacePairing(f"phi{i}", phi, phi_shift))
+        out.append(FacePairing(f"phi{i}", _parabolic_through(fix, src, dst),
+                               phi_shift))
     rot = cmath.exp(2j * math.pi * q / p)
     tau_disk = Moebius(rot, 0, 0, 1)
     tau = _CAYLEY.compose(tau_disk).compose(_CAYLEY.inverse())
-    tau.word = "tau"
     tau_shift = float(q) if params.ambient == "s3" else float(p)
     out.append(FacePairing("tau", tau, tau_shift))
     return out
@@ -272,7 +270,7 @@ def enumerate_surface_cords(params: TorusKnotParams, Lmax: float,
 
     frontier = [("", 0.0, Moebius.identity())]
     consider(*frontier[0])
-    seen = {Moebius.identity().key(): True}
+    seen = {Moebius.identity().key()}
     count = 0
     for _ in range(max_word_len):
         nxt = []
@@ -288,7 +286,7 @@ def enumerate_surface_cords(params: TorusKnotParams, Lmax: float,
                 k = h.key()
                 if k in seen:
                     continue
-                seen[k] = True
+                seen.add(k)
                 count += 1
                 if count > max_elements:
                     raise BudgetExceeded(f"element cap {max_elements}")
@@ -307,22 +305,3 @@ def enumerate_surface_cords(params: TorusKnotParams, Lmax: float,
             out.append(CordFamily(f.word, src, tgt, f.length, f.shift))
     out.sort(key=lambda f: (f.length, f.word, f.source_cusp, f.target_cusp))
     return out
-
-
-@dataclass
-class RankTable:
-    """Homology ranks by degree from the Morse-Bott S^1-families: each
-    family contributes one generator in degree 0 and one in degree 1."""
-
-    counts: dict
-    cutoff: float
-
-    def to_dict(self) -> dict:
-        return {"cutoff": self.cutoff,
-                "counts": {str(k): v for k, v in sorted(self.counts.items())}}
-
-
-def hw_rank_table(params: TorusKnotParams, Lmax: float, **kw) -> RankTable:
-    fams = enumerate_surface_cords(params, Lmax, **kw)
-    n = len(fams)
-    return RankTable({0: n, 1: n}, Lmax)

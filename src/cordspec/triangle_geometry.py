@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cord_engine import Cord, common_perpendicular
+from .cord_engine import Cord, check_embedded, common_perpendicular
 from .isometry_group import (INFINITY, GroupPresentation, Horoball, Moebius,
                              apply_boundary, apply_h3, double_coset_canonical,
                              image_horoball)
@@ -224,7 +224,7 @@ def _peripheral_translation(rep: GroupPresentation, mcount: int, ncount: int) ->
     return Moebius(1, mcount * mu + ncount * lam, 0, 1)
 
 
-def triangle_catalog(rep: GroupPresentation, spectrum, words,
+def triangle_catalog(rep: GroupPresentation, a0: float, Lmax: float, words,
                      search_range: int = 6) -> list:
     """Candidate geodesic triangles for a composable class triple.
 
@@ -233,11 +233,12 @@ def triangle_catalog(rep: GroupPresentation, spectrum, words,
     peripheral translation p, provided h2 lies in the double coset of the
     inverse of e2.  The finite search runs p over the cusp lattice box
     [-search_range, search_range]^2 and keeps triples whose three cords are
-    nondegenerate and no longer than the spectrum cutoff.  Purely geometric
+    nondegenerate and no longer than the cutoff Lmax.  Purely geometric
     candidates; no holomorphic-triangle count is implied.
+
+    a0 must be at least the embedded-height threshold of the group.
     """
-    a0 = spectrum.horoball_height
-    Lmax = spectrum.cutoff
+    check_embedded(rep, a0)
     e0, e1, e2 = (rep.evaluate(w) for w in words)
     for w, g in zip(words, (e0, e1, e2)):
         if abs(g.c) < 1e-9:

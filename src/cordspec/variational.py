@@ -11,7 +11,7 @@ import numpy as np
 
 from .cord_engine import Cord
 from .hyperbolic_core import PointH3, TangentVec, christoffel, distance, riemann
-from .isometry_group import Horoball, INFINITY
+from .isometry_group import Horoball
 
 
 @dataclass

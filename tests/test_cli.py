@@ -130,6 +130,14 @@ def test_triangle_peripheral_rejected(capsys):
     assert code == 2
 
 
+def test_triangle_height_below_threshold_is_config_error(capsys):
+    # same exit code as spectrum for the same overlapping horoballs
+    code, rep, err = run(capsys, ["triangle", "b", "b", "BB",
+                                  "--height", "0.5"])
+    assert code == 2
+    assert rep is None and "embedded threshold" in err
+
+
 def test_threads_env_determinism(capsys, monkeypatch):
     code1, rep1, _ = run(capsys, ["verify", "--suite", "psh"])
     monkeypatch.setenv("CORDSPEC_THREADS", "4")

@@ -12,7 +12,7 @@ A0 = 1.2
 
 
 def test_vertical_cord_geometry():
-    cord = ce.Cord.from_vertical("w", 2.0, 1 + 1j, 0.8)
+    cord = ce.Cord.from_vertical(2.0, 1 + 1j, 0.8)
     assert cord.start.z == 2.0
     assert abs(cord.end.z - 2.0 * math.exp(-0.8)) < 1e-15
     assert abs(distance(cord.start, cord.end) - 0.8) < 1e-12
@@ -36,7 +36,7 @@ def test_common_perpendicular_matches_closed_form(fig8):
     B0 = Horoball(INFINITY, A0)
     for word in ("b", "ab", "bA", "abb"):
         g = fig8.evaluate(word)
-        cord = ce.common_perpendicular(B0, image_horoball(g, B0), word)
+        cord = ce.common_perpendicular(B0, image_horoball(g, B0))
         assert abs(cord.length - ce.cord_length(g, A0)) < 1e-10
 
 
@@ -67,7 +67,7 @@ def test_degenerate_horoballs_rejected():
 
 
 def test_transformed_cord_is_isometric(fig8):
-    cord = ce.Cord.from_vertical("w", A0, 0j, 1.1)
+    cord = ce.Cord.from_vertical(A0, 0j, 1.1)
     g = fig8.evaluate("ab")
     moved = cord.transformed(g)
     assert abs(moved.length - cord.length) < 1e-14
@@ -117,8 +117,8 @@ def test_enumerate_cords_below_threshold_rejected(fig8):
 def test_canonical_classes_deterministic(fig8):
     c1 = ce.canonical_classes(fig8, A0, 2.0)
     c2 = ce.canonical_classes(fig8, A0, 2.0)
-    assert [g.word for g in c1] == [g.word for g in c2]
-    assert len({g.key(6) for g in c1}) == len(c1)
+    assert [w for w, _ in c1] == [w for w, _ in c2]
+    assert len({g.key(6) for _, g in c1}) == len(c1)
 
 
 def test_spectrum_serialization(tmp_path, fig8):
@@ -136,16 +136,16 @@ def test_spectrum_serialization(tmp_path, fig8):
 
 
 def test_chord_lift_and_action():
-    cord = ce.Cord.from_vertical("w", A0, 0j, 1.3)
-    chord = ce.lift_to_chord(cord)
-    s = chord.state(0.4)
+    cord = ce.Cord.from_vertical(A0, 0j, 1.3)
+    q = cord.point(0.4)
+    p = cord.velocity(0.4) / q.z**2  # cotangent lift: flat, p_i = v_i / z^2
     # H = z^2 |p|^2 / 2 = length^2 / 2 along the unit-parameterized lift
-    H = 0.5 * s.q.z**2 * float(np.dot(s.p, s.p))
+    H = 0.5 * q.z**2 * float(np.dot(p, p))
     assert abs(H - 0.5 * 1.3**2) < 1e-8
-    assert ce.action(chord) == pytest.approx(-0.5 * 1.3**2)
+    assert cord.action() == pytest.approx(-0.5 * 1.3**2)
 
 
 def test_extend_to_tame():
-    cord = ce.Cord.from_vertical("w", A0, 0.5 + 0.5j, 1.0)
+    cord = ce.Cord.from_vertical(A0, 0.5 + 0.5j, 1.0)
     ends = ce.extend_to_tame(cord)
     assert ends[0] == INFINITY and ends[1] == 0.5 + 0.5j

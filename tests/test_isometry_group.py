@@ -10,7 +10,7 @@ from cordspec.isometry_group import (INFINITY, BudgetExceeded, Horoball,
                                      Moebius, apply_boundary, apply_h3,
                                      classify, double_coset_canonical,
                                      enumerate_elements, image_horoball,
-                                     invert_word, verify_presentation)
+                                     verify_presentation)
 
 finite = st.floats(-4, 4, allow_nan=False)
 cplx = st.builds(complex, finite, finite)
@@ -86,10 +86,9 @@ def test_classification():
 
 
 def test_word_algebra():
-    assert invert_word("abC") == "cBA"
-    g = Moebius(1, 1, 0, 1, word="ab")
-    h = Moebius(1, -1, 0, 1, word="BA")
-    assert g.compose(h).word == ""
+    g = Moebius(1, 1, 0, 1)
+    h = Moebius(1, -1, 0, 1)
+    assert g.compose(h).is_close(Moebius.identity(), 1e-14)
 
 
 def test_image_horoball_standard():
@@ -138,16 +137,17 @@ def test_generator_classification(fig8):
 
 
 def test_enumeration_golden_count(fig8):
-    els = list(enumerate_elements(fig8, max_radius=3.0, max_word_len=10))
+    els = [g for _, g in enumerate_elements(fig8, max_radius=3.0,
+                                            max_word_len=10)]
     assert len(els) == 16092
     assert min(abs(g.c) for g in els if abs(g.c) > 1e-9) == pytest.approx(1.0)
 
 
 def test_enumeration_pruning_is_lossless(fig8):
-    pruned = list(enumerate_elements(fig8, max_radius=2.0, max_word_len=7))
-    unpruned = list(enumerate_elements(fig8, max_radius=2.0, max_word_len=7,
-                                       margin=1e9))
-    assert {g.key() for g in pruned} == {g.key() for g in unpruned}
+    pruned = enumerate_elements(fig8, max_radius=2.0, max_word_len=7)
+    unpruned = enumerate_elements(fig8, max_radius=2.0, max_word_len=7,
+                                  margin=1e9)
+    assert {g.key() for _, g in pruned} == {g.key() for _, g in unpruned}
 
 
 def test_enumeration_budget_cap(fig8):
@@ -157,11 +157,11 @@ def test_enumeration_budget_cap(fig8):
 
 
 def test_enumeration_words_are_reduced_and_match(fig8):
-    for g in enumerate_elements(fig8, max_radius=2.0, max_word_len=6):
-        assert g.word == "" or all(
-            g.word[i] != g.word[i + 1].swapcase() or g.word[i] == g.word[i + 1]
-            for i in range(len(g.word) - 1))
-        assert fig8.evaluate(g.word).is_close(g, 1e-8)
+    for word, g in enumerate_elements(fig8, max_radius=2.0, max_word_len=6):
+        assert word and all(
+            word[i] != word[i + 1].swapcase() or word[i] == word[i + 1]
+            for i in range(len(word) - 1))
+        assert fig8.evaluate(word).is_close(g, 1e-8)
 
 
 def test_double_coset_canonical_properties(fig8):

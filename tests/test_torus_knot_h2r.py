@@ -3,8 +3,9 @@ import math
 import pytest
 
 from cordspec import torus_knot_h2r as tk
+from cordspec.cli import run_torus
 from cordspec.isometry_group import (INFINITY, BudgetExceeded, Moebius,
-                                     apply_boundary, classify)
+                                     apply_boundary, classify, image_horoball)
 
 
 def test_params_validation():
@@ -109,6 +110,26 @@ def test_enumerate_cords_golden_trefoil():
         assert srcs.count(1) == srcs.count(2) == srcs.count(3)
 
 
+def test_family_words_compose_to_their_lengths():
+    # each base family's dotted word, multiplied out from the face pairings,
+    # carries the target horodisk to one of diameter y0 e^{-length}
+    params = tk.TorusKnotParams(2, 3)
+    p, _ = params.geometric_pq()
+    y0 = 4.0
+    pairings = tk.face_pairings(params)[:p]
+    balls = tk._cusp_horoballs(params, y0)
+    base = [f for f in tk.enumerate_surface_cords(params, 6.0, y0=y0)
+            if f.source_cusp == p]
+    assert len(base) == 20
+    for f in base:
+        g = Moebius.identity()
+        for lab in ([] if f.word == "e" else f.word.split(".")):
+            h2 = pairings[abs(int(lab)) - 1].h2
+            g = g.compose(h2.inverse() if lab.startswith("-") else h2)
+        gb = image_horoball(g, balls[f.target_cusp - 1])
+        assert abs(math.log(y0 / gb.size) - f.length) < 1e-9
+
+
 def test_enumerate_cords_pruning_lossless():
     params = tk.TorusKnotParams(2, 3)
     a = tk.enumerate_surface_cords(params, 5.0, max_word_len=6, prune=True)
@@ -140,9 +161,7 @@ def test_enumerate_cords_budget_cap():
 
 
 def test_rank_table_pairs_degrees():
-    params = tk.TorusKnotParams(2, 3)
-    table = tk.hw_rank_table(params, 6.0)
-    assert table.counts[0] == table.counts[1] == 60
-    assert set(table.counts) == {0, 1}
-    d = table.to_dict()
-    assert d["cutoff"] == 6.0 and d["counts"]["0"] == 60
+    code, rep = run_torus(2, 3, "s3", 6.0)
+    assert code == 0
+    assert rep["rank_table"] == {"cutoff": 6.0,
+                                 "counts": {"0": 60, "1": 60}}

@@ -8,11 +8,6 @@ from cordspec import triangle_geometry as tg
 from cordspec.isometry_group import INFINITY, Horoball, Moebius, apply_boundary
 
 
-@pytest.fixture(scope="module")
-def fig8_spectrum(fig8):
-    return ce.enumerate_cords(fig8, 1.2, 4.0)
-
-
 def symmetric_hexagon():
     tri = tg.IdealTriangle((0j, 1 + 0j, INFINITY))
     balls = (Horoball(0j, 0.3), Horoball(1 + 0j, 0.3), Horoball(INFINITY, 3.0))
@@ -119,9 +114,8 @@ def test_reduction_examples_up_to_axis_rotation():
     assert g2.is_close(shift, 1e-12)
 
 
-def test_triangle_catalog_figure_eight(fig8, fig8_spectrum):
-    spec = fig8_spectrum
-    catalog = tg.triangle_catalog(fig8, spec, ("b", "b", "BB"))
+def test_triangle_catalog_figure_eight(fig8):
+    catalog = tg.triangle_catalog(fig8, 1.2, 4.0, ("b", "b", "BB"))
     assert len(catalog) >= 1
     lb = ce.cord_length(fig8.evaluate("b"), 1.2)
     lbb = ce.cord_length(fig8.evaluate("bb"), 1.2)
@@ -135,19 +129,19 @@ def test_triangle_catalog_figure_eight(fig8, fig8_spectrum):
         assert tg.plane_defect(g, hexa.sides) < 1e-8
 
 
-def test_triangle_catalog_rejections(fig8, fig8_spectrum):
-    spec = fig8_spectrum
+def test_triangle_catalog_rejections(fig8):
     with pytest.raises(ValueError):  # peripheral class: constant chord
-        tg.triangle_catalog(fig8, spec, ("a", "b", "B"))
+        tg.triangle_catalog(fig8, 1.2, 4.0, ("a", "b", "B"))
     with pytest.raises(ValueError):  # not composable at this cutoff
-        tg.triangle_catalog(fig8, spec, ("b", "b", "b"), search_range=2)
+        tg.triangle_catalog(fig8, 1.2, 4.0, ("b", "b", "b"), search_range=2)
+    with pytest.raises(ValueError, match="embedded threshold"):
+        tg.triangle_catalog(fig8, 0.5, 4.0, ("b", "b", "BB"))
 
 
-def test_triangle_catalog_conjugation_invariant(fig8, fig8_spectrum):
-    spec = fig8_spectrum
-    c1 = tg.triangle_catalog(fig8, spec, ("b", "b", "BB"))
+def test_triangle_catalog_conjugation_invariant(fig8):
+    c1 = tg.triangle_catalog(fig8, 1.2, 4.0, ("b", "b", "BB"))
     # conjugating every class word simultaneously preserves the geometry
-    c2 = tg.triangle_catalog(fig8, spec, ("Aba", "Aba", "ABBa"))
+    c2 = tg.triangle_catalog(fig8, 1.2, 4.0, ("Aba", "Aba", "ABBa"))
     assert len(c1) == len(c2)
     for h1, h2 in zip(c1, c2):
         for s1, s2 in zip(sorted(h1.side_lengths), sorted(h2.side_lengths)):

@@ -11,7 +11,7 @@ A0 = 1.2
 
 
 def vertical_cord(length=1.3):
-    return ce.Cord.from_vertical("w", A0, 0j, length)
+    return ce.Cord.from_vertical(A0, 0j, length)
 
 
 def test_mean_curvature_of_horospheres():
@@ -107,7 +107,7 @@ def test_constant_chord_kernel_cokernel():
 
 
 def test_enumerated_cords_all_stable(fig8):
-    for g in ce.canonical_classes(fig8, A0, 2.0):
+    for _, g in ce.canonical_classes(fig8, A0, 2.0):
         cord = ce.cord_for_class(g, A0)
         H = va.hessian(cord, N=128)
         assert va.index_nullity(H) == (0, 0)
