@@ -78,7 +78,7 @@ def _load_rep(path):
 
 def _resolve_height(height, rep):
     if height == "auto":
-        return cord_engine.max_embedded_height(rep)
+        return cord_engine.embedded_height(rep)
     return float(height)
 
 
@@ -234,7 +234,8 @@ def run_index(cfg: RunConfig, no_assert=False, constant_chord=False) -> tuple:
         ker, coker = variational.constant_chord_hessian(N=cfg.mesh_size)
         ok = (ker == 2 and coker == 2)
         report = {"subcommand": "index", "ok": ok or no_assert,
-                  "constant_chord": {"kernel": ker, "cokernel": coker}}
+                  "constant_chord": {"kernel": ker, "cokernel": coker},
+                  "mesh_size": cfg.mesh_size}
         return (EXIT_OK if report["ok"] else EXIT_ASSERT), report
     rep = _load_rep(cfg.input_path)
     a0 = _resolve_height(cfg.height, rep)
@@ -244,6 +245,7 @@ def run_index(cfg: RunConfig, no_assert=False, constant_chord=False) -> tuple:
         word, g = word_class
         cord = cord_engine.cord_for_class(g, a0)
         H = variational.hessian(cord, N=cfg.mesh_size)
+        # both read the one eigen solve that H keeps
         idx, nul = variational.index_nullity(H)
         return {"class_word": word, "length": cord.length,
                 "index": idx, "nullity": nul,
@@ -252,7 +254,8 @@ def run_index(cfg: RunConfig, no_assert=False, constant_chord=False) -> tuple:
     rows = _pool_map(one, classes, cfg.threads)
     rows.sort(key=lambda r: (r["length"], r["class_word"]))
     ok = all(r["index"] == 0 and r["nullity"] == 0 for r in rows)
-    report = {"subcommand": "index", "ok": ok or no_assert, "rows": rows}
+    report = {"subcommand": "index", "ok": ok or no_assert, "height": a0,
+              "cutoff": cfg.cutoff, "mesh_size": cfg.mesh_size, "rows": rows}
     return (EXIT_OK if report["ok"] else EXIT_ASSERT), report
 
 

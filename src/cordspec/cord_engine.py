@@ -220,9 +220,17 @@ def max_embedded_height(rep: GroupPresentation, search_word_len: int = 8) -> flo
     return 1.0 / best
 
 
+def embedded_height(rep: GroupPresentation) -> float:
+    """``max_embedded_height(rep)``, computed once per presentation and kept
+    on it."""
+    if rep.embedded_height is None:
+        rep.embedded_height = max_embedded_height(rep)
+    return rep.embedded_height
+
+
 def check_embedded(rep: GroupPresentation, a0: float) -> None:
     """Raise ValueError when a0 is below the embedded-height threshold."""
-    a_min = max_embedded_height(rep)
+    a_min = embedded_height(rep)
     if a0 < a_min - 1e-9:
         raise ValueError(
             f"height {a0} below embedded threshold {a_min}: horoballs overlap")

@@ -129,7 +129,8 @@ def integrate_flow(s0: CotangentState, T: float, dt: float,
 
     Symmetric and symplectic; suitable for the non-separable kinetic
     Hamiltonian.  Raises on step underflow when the trajectory approaches
-    the boundary z = 0.
+    the boundary z = 0, and RuntimeError when the fixed-point iteration of
+    a step does not converge.
     """
     if dt <= 0:
         raise ValueError("dt must be positive")
@@ -154,10 +155,12 @@ def _midpoint_step(v: np.ndarray, dt: float, tol: float = 1e-13,
     for _ in range(max_iter):
         mid = 0.5 * (v + vn)
         vnew = v + dt * _rhs(mid)
-        if np.max(np.abs(vnew - vn)) < tol:
+        res = np.max(np.abs(vnew - vn))
+        if res < tol:
             return vnew
         vn = vnew
-    return vn
+    raise RuntimeError(f"implicit midpoint step did not converge in "
+                       f"{max_iter} iterations; residual {res:.3g}")
 
 
 def geodesic_residual(path: np.ndarray, dt: float) -> float:

@@ -166,6 +166,9 @@ class GroupPresentation:
     meridian: str
     longitude: str
     cusp_lattice: list = field(default_factory=list)  # [[m_re, m_im], [l_re, l_im]]
+    # set by cord_engine.embedded_height on first use
+    embedded_height: float | None = field(default=None, init=False,
+                                          compare=False, repr=False)
 
     def letters(self) -> dict:
         table = {}

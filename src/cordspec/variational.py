@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -110,24 +111,30 @@ def first_variation(path: DiscretePath, V: np.ndarray) -> float:
 @dataclass
 class HessianForm:
     """Discrete second variation over transverse nodal fields (components in
-    the horosphere-tangent directions d_x, d_y at each node)."""
+    the horosphere-tangent directions d_x, d_y at each node).
 
-    matrix: np.ndarray  # 2(N+1) x 2(N+1)
-    mass: np.ndarray  # same shape, L^2 Gram matrix
+    The form couples node k of a component only with nodes k +- 1 of the
+    same component, and the trapezoid L^2 mass is lumped at the nodes, so
+    both are stored as bands: one symmetric tridiagonal matrix per component
+    (``diag[comp]``, ``off[comp]``) and the diagonal ``mass``."""
+
+    diag: np.ndarray  # (2, N+1)
+    off: np.ndarray  # (2, N)
+    mass: np.ndarray  # (N+1,)
     ell: float
     N: int
 
-    def value(self, u: np.ndarray) -> float:
-        u = np.asarray(u, dtype=float).ravel()
-        return float(u @ self.matrix @ u)
+    @cached_property
+    def eigenvalues(self) -> np.ndarray:
+        """Sorted eigenvalues of the generalized problem H u = lambda M u:
+        per component, those of the tridiagonal M^{-1/2} H M^{-1/2}."""
+        from scipy.linalg import eigh_tridiagonal
 
-
-def _cord_frame_data(cord: Cord, N: int):
-    ell = cord.length
-    a0 = 1.0 / cord.profile[0]
-    t = np.arange(N + 1) / N
-    z = a0 * np.exp(-ell * t)
-    return ell, a0, t, z
+        m = self.mass
+        vals = [eigh_tridiagonal(d / m, e / np.sqrt(m[:-1] * m[1:]),
+                                 eigvals_only=True)
+                for d, e in zip(self.diag, self.off)]
+        return np.sort(np.concatenate(vals))
 
 
 def hessian(cord: Cord, N: int = 256, route: str = "direct",
@@ -138,70 +145,69 @@ def hessian(cord: Cord, N: int = 256, route: str = "direct",
     frame of the cord.
 
     route "direct": integrand |DV/dt|^2 + |c'|^2 |V|^2 with the Robin
-    boundary terms l(|V(0)|^2 + |V(1)|^2).
+    boundary terms l(|V(0)|^2 + |V(1)|^2), assembled with whole-array
+    operations.
     route "curvature": the general form with -<R(V, c')c', V> evaluated by
     the curvature operator and the boundary contribution |c'| <S V, V> via
-    the numeric shape operator of the horospheres.
+    the numeric shape operator of the horospheres, assembled node by node.
     The ``curvature_sign`` and ``include_boundary`` switches exist only for
     constructing synthetic counterexamples in tests.
     """
     if cord.length <= 0:
         raise ValueError("constant chord: use constant_chord_hessian")
-    ell, a0, tgrid, z = _cord_frame_data(cord, N)
+    ell = cord.length
+    a0 = 1.0 / cord.profile[0]
+    z = a0 * np.exp(-ell * (np.arange(N + 1) / N))  # node heights
     h = 1.0 / N
-    n = N + 1
-    H = np.zeros((2 * n, 2 * n))
-    M = np.zeros((2 * n, 2 * n))
+    # DV/dt at the midpoint of segment k: ca V_k + cb V_{k+1}
+    ca = -1.0 / h + ell / 2.0
+    cb = 1.0 / h + ell / 2.0
+    if route == "curvature":
+        diag, off = _curvature_bands(cord, z, ell, ca, cb, curvature_sign)
+        s0 = _shape_operator_diag(PointH3(0.0, 0.0, z[0]))
+        s1 = _shape_operator_diag(PointH3(0.0, 0.0, z[N]))
+    else:
+        w = 1.0 / (z[:-1] * z[1:])  # 1/z^2 at the geometric midpoint height
+        # h * w * (ca V_k + cb V_{k+1})^2 plus the curvature term
+        # h * l^2 * w * ((V_k + V_{k+1}) / 2)^2 on the midpoint value
+        q = h * curvature_sign * ell**2 * w / 4.0
+        d = np.zeros(N + 1)
+        d[:-1] += h * w * ca * ca + q
+        d[1:] += h * w * cb * cb + q
+        o = h * w * ca * cb + q
+        diag, off = np.array([d, d]), np.array([o, o])
+        s0 = s1 = (1.0, 1.0)
+    if include_boundary:
+        diag[:, 0] += ell * np.asarray(s0) / z[0] ** 2
+        diag[:, N] += ell * np.asarray(s1) / z[N] ** 2
+    mass = h / z**2  # trapezoid L^2 mass
+    mass[[0, N]] /= 2.0
+    return HessianForm(diag, off, mass, ell, N)
 
-    def idx(comp, k):
-        return comp * n + k
 
+def _curvature_bands(cord: Cord, z: np.ndarray, ell: float, ca: float,
+                     cb: float, curvature_sign: float) -> tuple:
+    """Bands of the curvature route, one segment at a time, with
+    -<R(V, c')c', V> from the curvature operator at each segment midpoint."""
+    N = len(z) - 1
+    h = 1.0 / N
+    diag = np.zeros((2, N + 1))
+    off = np.zeros((2, N))
     for k in range(N):
         zm = math.sqrt(z[k] * z[k + 1])  # geometric midpoint height
         w = 1.0 / zm**2
-        qmid = PointH3(cord.point((k + 0.5) / N).x,
-                       cord.point((k + 0.5) / N).y, zm)
-        if route == "curvature":
-            # -<R(V, c')c', V> via the curvature operator, per component
-            cdot = TangentVec(qmid, (0.0, 0.0, -ell * zm))
-            curv = []
-            for comp in range(2):
-                e = [0.0, 0.0, 0.0]
-                e[comp] = 1.0
-                Vv = TangentVec(qmid, tuple(e))
-                Rv = riemann(qmid, Vv, cdot, cdot)
-                curv.append(-(np.array(Rv.v) @ np.array(e)) / zm**2)
-        else:
-            curv = [ell**2 * w, ell**2 * w]
+        mid = cord.point((k + 0.5) / N)
+        qmid = PointH3(mid.x, mid.y, zm)
+        cdot = TangentVec(qmid, (0.0, 0.0, -ell * zm))
         for comp in range(2):
-            i0, i1 = idx(comp, k), idx(comp, k + 1)
-            # DV/dt at the midpoint: (V_{k+1}-V_k)/h + l * Vmid
-            ca = (-1.0 / h + ell / 2.0)
-            cb = (1.0 / h + ell / 2.0)
-            # h * w * (ca V_k + cb V_{k+1})^2
-            H[i0, i0] += h * w * ca * ca
-            H[i1, i1] += h * w * cb * cb
-            H[i0, i1] += h * w * ca * cb
-            H[i1, i0] += h * w * ca * cb
-            # curvature term on the midpoint value
-            q = h * curvature_sign * curv[comp] / 4.0
-            H[i0, i0] += q
-            H[i1, i1] += q
-            H[i0, i1] += q
-            H[i1, i0] += q
-            # trapezoid L^2 mass (nodal, positive definite)
-            M[i0, i0] += h / (2.0 * z[k] ** 2)
-            M[i1, i1] += h / (2.0 * z[k + 1] ** 2)
-    if include_boundary:
-        if route == "curvature":
-            s0 = _shape_operator_diag(PointH3(0.0, 0.0, z[0]))
-            s1 = _shape_operator_diag(PointH3(0.0, 0.0, z[N]))
-        else:
-            s0 = s1 = (1.0, 1.0)
-        for comp in range(2):
-            H[idx(comp, 0), idx(comp, 0)] += ell * s0[comp] / z[0] ** 2
-            H[idx(comp, N), idx(comp, N)] += ell * s1[comp] / z[N] ** 2
-    return HessianForm((H + H.T) / 2.0, (M + M.T) / 2.0, ell, N)
+            e = [0.0, 0.0, 0.0]
+            e[comp] = 1.0
+            Rv = riemann(qmid, TangentVec(qmid, tuple(e)), cdot, cdot)
+            q = h * curvature_sign * -Rv.v[comp] / zm**2 / 4.0
+            diag[comp, k] += h * w * ca * ca + q
+            diag[comp, k + 1] += h * w * cb * cb + q
+            off[comp, k] = h * w * ca * cb + q
+    return diag, off
 
 
 def _shape_operator_diag(q: PointH3, step: float = 1e-6) -> tuple:
@@ -241,21 +247,16 @@ def shape_operator_eigenvalues(z0: float) -> tuple:
 def index_nullity(H: HessianForm, zero_band: float = None) -> tuple:
     """Counts of negative and near-zero eigenvalues of the generalized
     problem H u = lambda M u.  The zero band defaults to 10/N^2."""
-    from scipy.linalg import eigh
-
     if zero_band is None:
         zero_band = 10.0 / H.N**2
-    vals = eigh(H.matrix, H.mass, eigvals_only=True)
+    vals = H.eigenvalues
     index = int(np.sum(vals < -zero_band))
     nullity = int(np.sum(np.abs(vals) <= zero_band))
     return index, nullity
 
 
 def smallest_eigenvalue(H: HessianForm) -> float:
-    from scipy.linalg import eigh
-
-    vals = eigh(H.matrix, H.mass, eigvals_only=True)
-    return float(vals[0])
+    return float(H.eigenvalues[0])
 
 
 def jacobi_solve(ell: float, V0, dV0):
@@ -285,46 +286,34 @@ def constant_chord_hessian(a0: float = 1.0, N: int = 128) -> tuple:
     dq(i) tangent to the torus and dp(i) conormal.  Both dimensions equal
     dim T = 2: constant tangent fields (v, 0) span the kernel, and constant
     conormal-dual fields (0, beta) span the cokernel.
+
+    No equation or endpoint row mixes the coordinates c = 0, 1, 2, so the
+    system is block diagonal with one block per coordinate over the unknowns
+    (dq_c, dp_c).  Its singular values are the union of the blocks', and the
+    rank is counted against one tolerance over all of them.
     """
     h = 1.0 / N
     n = N + 1
-    dim = 6 * n
-    rows = []
-
-    def unit(j):
-        r = np.zeros(dim)
-        r[j] = 1.0
-        return r
-
-    def var(k, comp):
-        # comp 0..2: dq, comp 3..5: dp at node k
-        return 6 * k + comp
-
-    for k in range(N):
-        for c in range(3):
-            # (dq_{k+1} - dq_k)/h - a0^2 (dp_k + dp_{k+1})/2 = 0
-            r = np.zeros(dim)
-            r[var(k + 1, c)] += 1.0 / h
-            r[var(k, c)] -= 1.0 / h
-            r[var(k, 3 + c)] -= a0**2 / 2.0
-            r[var(k + 1, 3 + c)] -= a0**2 / 2.0
-            rows.append(r)
-            # (dp_{k+1} - dp_k)/h = 0
-            r = np.zeros(dim)
-            r[var(k + 1, 3 + c)] += 1.0 / h
-            r[var(k, 3 + c)] -= 1.0 / h
-            rows.append(r)
-    # boundary: dq_z = 0 at both ends; dp_x = dp_y = 0 at both ends
-    rows.append(unit(var(0, 2)))
-    rows.append(unit(var(N, 2)))
-    rows.append(unit(var(0, 3)))
-    rows.append(unit(var(0, 4)))
-    rows.append(unit(var(N, 3)))
-    rows.append(unit(var(N, 4)))
-    L = np.array(rows)
-    sv = np.linalg.svd(L, compute_uv=False)
-    tol = 1e-8 * sv[0]
-    rank = int(np.sum(sv > tol))
-    kernel_dim = L.shape[1] - rank
-    cokernel_dim = L.shape[0] - rank
+    k = np.arange(N)
+    blocks = []
+    for c in range(3):
+        # unknowns: dq_c at nodes 0..N, then dp_c at nodes 0..N
+        L = np.zeros((2 * n, 2 * n))
+        # (dq_{k+1} - dq_k)/h - a0^2 (dp_k + dp_{k+1})/2 = 0
+        L[k, k + 1] = 1.0 / h
+        L[k, k] = -1.0 / h
+        L[k, n + k] = -a0**2 / 2.0
+        L[k, n + k + 1] = -a0**2 / 2.0
+        # (dp_{k+1} - dp_k)/h = 0
+        L[N + k, n + k + 1] = 1.0 / h
+        L[N + k, n + k] = -1.0 / h
+        # boundary: dq_z = 0 at both ends; dp_x = dp_y = 0 at both ends
+        fixed = 0 if c == 2 else n
+        L[2 * N, fixed] = 1.0
+        L[2 * N + 1, fixed + N] = 1.0
+        blocks.append((L.shape, np.linalg.svd(L, compute_uv=False)))
+    tol = 1e-8 * max(sv[0] for _, sv in blocks)
+    rank = sum(int(np.sum(sv > tol)) for _, sv in blocks)
+    kernel_dim = sum(cols for (_, cols), _ in blocks) - rank
+    cokernel_dim = sum(rows for (rows, _), _ in blocks) - rank
     return kernel_dim, cokernel_dim

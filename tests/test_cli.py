@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from cordspec import cli
+from cordspec import cli, cord_engine
 from cordspec.cli import ConfigError, RunConfig
 
 
@@ -70,6 +74,20 @@ def test_spectrum_auto_height(capsys):
     assert rep["height"] == pytest.approx(1.0, abs=1e-9)
 
 
+def test_auto_height_computed_once_per_command(monkeypatch):
+    calls = []
+    inner = cord_engine.max_embedded_height
+
+    def counting(rep, *args, **kwargs):
+        calls.append(rep)
+        return inner(rep, *args, **kwargs)
+
+    monkeypatch.setattr(cord_engine, "max_embedded_height", counting)
+    code, rep = cli.run_spectrum(RunConfig("spectrum", cutoff=1.0))
+    assert code == 0 and rep["height"] == pytest.approx(1.0, abs=1e-9)
+    assert len(calls) == 1
+
+
 def test_spectrum_missing_input_file(capsys):
     code, rep, err = run(capsys, ["spectrum", "--input", "/nonexistent.json"])
     assert code == 2
@@ -86,6 +104,7 @@ def test_index_constant_chord(capsys):
                                 "--mesh-size", "128"])
     assert code == 0
     assert rep["constant_chord"] == {"kernel": 2, "cokernel": 2}
+    assert rep["mesh_size"] == 128
 
 
 def test_index_small_cutoff(capsys):
@@ -93,6 +112,7 @@ def test_index_small_cutoff(capsys):
                                 "--mesh-size", "128"])
     assert code == 0
     assert rep["ok"] and len(rep["rows"]) > 0
+    assert (rep["height"], rep["cutoff"], rep["mesh_size"]) == (1.2, 1.5, 128)
     for r in rep["rows"]:
         assert r["index"] == 0 and r["nullity"] == 0
         assert r["min_eigenvalue"] > r["length"] ** 2
@@ -147,3 +167,15 @@ def test_threads_env_determinism(capsys, monkeypatch):
     monkeypatch.setenv("CORDSPEC_THREADS", "zebra")
     code3, _, _ = run(capsys, ["verify", "--suite", "psh"])
     assert code3 == 2
+
+
+def test_module_entry_point():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-m", "cordspec", "verify",
+                          "--suite", "mean_curvature"], env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout)["ok"] is True

@@ -52,6 +52,17 @@ def test_flow_blowup_guard():
         fl.integrate_flow(s0, T=1.0, dt=1e-3)
 
 
+def test_unconverged_midpoint_step_raises():
+    v = CotangentState(PointH3(0.3, -0.2, 1.1),
+                       np.array([0.4, -0.3, 0.5])).vector()
+    with pytest.raises(RuntimeError, match="residual"):
+        fl._midpoint_step(v, 1e-3, max_iter=2)
+    # a step far too large for the fixed-point iteration to contract
+    s0 = CotangentState(PointH3(0.0, 0.0, 1.0), np.array([0.0, 0.0, 1.0]))
+    with pytest.raises(RuntimeError, match="did not converge"):
+        fl.integrate_flow(s0, T=1.0, dt=1.0)
+
+
 def test_sasakian_j_squares_to_minus_one():
     for s in rand_states(10):
         J = fl.sasakian_J(s)

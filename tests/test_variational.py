@@ -60,20 +60,41 @@ def test_first_variation_matches_finite_differences():
 
 
 def test_hessian_positive_index_zero():
+    # index and nullity stay (0, 0) under mesh refinement
     for length in (0.4, 1.6, 3.0):
         cord = vertical_cord(length)
-        H = va.hessian(cord, N=256)
-        idx, nul = va.index_nullity(H)
-        assert (idx, nul) == (0, 0)
-        # Robin boundary terms push the spectrum above l^2
-        assert va.smallest_eigenvalue(H) > length**2
+        for N in (64, 256, 1024):
+            H = va.hessian(cord, N=N)
+            idx, nul = va.index_nullity(H)
+            assert (idx, nul) == (0, 0)
+            # Robin boundary terms push the spectrum above l^2
+            assert va.smallest_eigenvalue(H) > length**2
+
+
+@pytest.mark.parametrize("kwargs", [
+    {}, {"curvature_sign": -1.0, "include_boundary": False}])
+def test_band_eigenvalues_match_dense_generalized_solve(kwargs):
+    from scipy.linalg import block_diag, eigh
+
+    H = va.hessian(vertical_cord(2.5), N=128, **kwargs)
+    # the dense 2(N+1)-square form and mass, one block per component
+    A = block_diag(*(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+                     for d, e in zip(H.diag, H.off)))
+    M = np.diag(np.tile(H.mass, 2))
+    dense = eigh(A, M, eigvals_only=True)
+    np.testing.assert_allclose(H.eigenvalues, dense, rtol=1e-10)
+    zero_band = 10.0 / 128**2
+    assert va.index_nullity(H) == (int(np.sum(dense < -zero_band)),
+                                   int(np.sum(np.abs(dense) <= zero_band)))
+    assert va.smallest_eigenvalue(H) == pytest.approx(dense[0], rel=1e-10)
 
 
 def test_hessian_routes_agree():
     cord = vertical_cord(1.2)
     Hd = va.hessian(cord, N=128, route="direct")
     Hc = va.hessian(cord, N=128, route="curvature")
-    assert np.abs(Hd.matrix - Hc.matrix).max() < 1e-8
+    for band in ("diag", "off", "mass"):
+        assert np.abs(getattr(Hd, band) - getattr(Hc, band)).max() < 1e-8
 
 
 def test_hessian_mesh_consistency():
@@ -104,6 +125,7 @@ def test_jacobi_fields_match_closed_form():
 def test_constant_chord_kernel_cokernel():
     assert va.constant_chord_hessian(1.0, N=128) == (2, 2)
     assert va.constant_chord_hessian(2.0, N=64) == (2, 2)
+    assert va.constant_chord_hessian(1.0, N=256) == (2, 2)
 
 
 def test_enumerated_cords_all_stable(fig8):
