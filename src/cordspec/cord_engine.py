@@ -7,84 +7,72 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .hyperbolic_core import PointH3
 from .isometry_group import (INFINITY, GroupPresentation, Horoball, Moebius,
-                             apply_h3, double_coset_canonical,
+                             apply_boundary, apply_h3, double_coset_canonical,
                              enumerate_elements, image_horoball)
 
 
 @dataclass
 class Cord:
-    """A geodesic arc meeting two horospheres orthogonally, parameterized on
-    [0, 1] at constant speed ``length``.
+    """A geodesic arc meeting two horospheres orthogonally, given by its
+    endpoints and parameterized on [0, 1] at constant speed ``length``.
 
     ``profile`` holds (f0, b0) of the reciprocal height along the arc:
     f(t) = 1/z(c(t)) = f0 cosh(l t) + b0 sinh(l t).
+    ``centers`` are the ideal centers of the two horoballs.
     """
 
     length: float
     start: PointH3
     end: PointH3
     profile: tuple
-    centers: tuple = (INFINITY, 0j)  # ideal centers of the two horoballs
-    _conjugator: Moebius | None = field(default=None, repr=False)
-    _a0: float = field(default=1.0, repr=False)
-    _parametric: bool = field(default=True, repr=False)
+    centers: tuple
 
     @classmethod
-    def from_vertical(cls, a0: float, center: complex, length: float,
-                      conjugator: Moebius | None = None) -> "Cord":
+    def from_vertical(cls, a0: float, center: complex, length: float) -> "Cord":
         """Cord that is the vertical segment over ``center`` from z = a0 down
-        to z = a0 e^{-length}, optionally pushed forward by ``conjugator``."""
+        to z = a0 e^{-length}."""
         cx, cy = center.real, center.imag
         start = PointH3(cx, cy, a0)
         end = PointH3(cx, cy, a0 * math.exp(-length))
-        centers = (INFINITY, center)
-        cord = cls(length, start, end, (1.0 / a0, 1.0 / a0), centers,
-                   None, a0)
-        if conjugator is not None:
-            cord = cord.transformed(conjugator)
-        return cord
+        return cls(length, start, end, (1.0 / a0, 1.0 / a0), (INFINITY, center))
 
     @classmethod
-    def from_endpoints(cls, start: PointH3, end: PointH3,
-                       length: float) -> "Cord":
-        """Cord from endpoint data alone (used by the shooting solver); the
-        profile coefficients are recovered from the endpoint heights."""
+    def from_endpoints(cls, start: PointH3, end: PointH3, length: float,
+                       centers: tuple) -> "Cord":
+        """Cord from its endpoints and horoball centers; the profile
+        coefficients are recovered from the endpoint heights."""
         f0 = 1.0 / start.z
         f1 = 1.0 / end.z
         b0 = (f1 - f0 * math.cosh(length)) / math.sinh(length)
-        return cls(length, start, end, (f0, b0), _parametric=False)
+        return cls(length, start, end, (f0, b0), centers)
 
     def transformed(self, g: Moebius) -> "Cord":
-        new = Cord(self.length, apply_h3(g, self.start), apply_h3(g, self.end),
-                   self.profile, tuple(_apply_center(g, c) for c in self.centers),
-                   _compose_opt(g, self._conjugator), self._a0)
-        f0 = 1.0 / new.start.z
-        f1 = 1.0 / new.end.z
-        b0 = (f1 - f0 * math.cosh(new.length)) / math.sinh(new.length)
-        new.profile = (f0, b0)
-        return new
+        return Cord.from_endpoints(
+            apply_h3(g, self.start), apply_h3(g, self.end), self.length,
+            tuple(apply_boundary(g, c) for c in self.centers))
 
     def point(self, t: float) -> PointH3:
-        """The point c(t), t in [0, 1]."""
-        if not self._parametric:
-            raise ValueError("cord built from endpoints has no parameterization")
-        cx = self.centers[1] if not _is_center_inf(self.centers[1]) else 0j
-        if self._conjugator is None and _is_center_inf(self.centers[0]):
-            return PointH3(cx.real, cx.imag, self._a0 * math.exp(-self.length * t))
-        base = PointH3(self._base_center().real, self._base_center().imag,
-                       self._a0 * math.exp(-self.length * t))
-        return apply_h3(self._conjugator, base)
+        """The point c(t), t in [0, 1], in closed form.
 
-    def _base_center(self) -> complex:
-        g = self._conjugator.inverse()
-        c = _apply_center(g, self.centers[1])
-        return c
+        On the hyperboloid model the geodesic is
+        (sinh((1-t)l) P + sinh(tl) Q) / sinh(l), and 1/z, x/z and y/z are
+        linear there, so each is that combination of its endpoint values.
+        The weights are nonnegative on [0, 1], so nothing cancels.
+        """
+        P, Q = self.start, self.end
+        u = math.sinh((1.0 - t) * self.length)
+        v = math.sinh(t * self.length)
+        s = math.sinh(self.length)
+        f = (u / P.z + v / Q.z) / s
+        fs = f * s
+        return PointH3((u * P.x / P.z + v * Q.x / Q.z) / fs,
+                       (u * P.y / P.z + v * Q.y / Q.z) / fs, 1.0 / f)
 
     def velocity(self, t: float, h: float = 1e-6) -> np.ndarray:
         """Coordinate velocity dc/dt by central differences."""
@@ -95,20 +83,6 @@ class Cord:
 
     def action(self) -> float:
         return -self.energy()
-
-
-def _is_center_inf(c) -> bool:
-    return c == INFINITY or (isinstance(c, complex) and not math.isfinite(abs(c)))
-
-
-def _apply_center(g: Moebius, c):
-    from .isometry_group import apply_boundary
-
-    return apply_boundary(g, c)
-
-
-def _compose_opt(g: Moebius, h: Moebius | None) -> Moebius:
-    return g if h is None else g.compose(h)
 
 
 def common_perpendicular(B0: Horoball, B1: Horoball) -> Cord:

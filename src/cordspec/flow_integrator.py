@@ -356,7 +356,8 @@ def shoot_neumann(B0: Horoball, g: Moebius, max_iter: int = 60,
     q1, _ = launch(u)
     q0 = endpoint(u)
     return cord_engine.Cord.from_endpoints(start=q0, end=q1,
-                                           length=float(u[2]))
+                                           length=float(u[2]),
+                                           centers=(B0.center, B1.center))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ INFINITY = complex("inf")
 _TOL = 1e-9
 
 
-def _is_inf(w) -> bool:
-    return w == INFINITY or (isinstance(w, complex) and not cmath.isfinite(w))
+def is_infinity(w) -> bool:
+    """Whether the boundary point w of C u {inf} is the point at infinity."""
+    return not cmath.isfinite(w)
 
 
 class Moebius:
@@ -85,7 +86,7 @@ def _canonical_sign(a, b, c, d):
 
 def apply_boundary(g: Moebius, w):
     """Action on the boundary sphere C u {inf}."""
-    if _is_inf(w):
+    if is_infinity(w):
         if abs(g.c) < 1e-15:
             return INFINITY
         return g.a / g.c
@@ -136,7 +137,7 @@ class Horoball:
             raise ValueError("horoball size must be positive")
 
     def is_at_infinity(self) -> bool:
-        return _is_inf(self.center)
+        return is_infinity(self.center)
 
 
 def image_horoball(g: Moebius, B: Horoball) -> Horoball:

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .isometry_group import (INFINITY, Horoball, Moebius, apply_boundary,
-                             image_horoball)
+                             image_horoball, is_infinity)
 
 _TOL = 1e-9
 
@@ -134,21 +134,17 @@ def _parabolic_through(fix, src, dst) -> Moebius:
     """The parabolic (half-plane) isometry fixing the ideal point ``fix``
     and mapping src to dst; src and dst must lie on a common horocycle
     about fix."""
-    if fix == INFINITY or (isinstance(fix, complex) and not cmath.isfinite(fix)):
+    if is_infinity(fix):
         n = Moebius.identity()
     else:
         n = Moebius(0, -1, 1, -fix)
-    a = _mob_point(n, src)
-    b = _mob_point(n, dst)
+    a = apply_boundary(n, src)
+    b = apply_boundary(n, dst)
     s = b - a
     if abs(s.imag) > 1e-9:
         raise ValueError("points are not on a common horocycle")
     t = Moebius(1, s.real, 0, 1)
     return n.inverse().compose(t).compose(n)
-
-
-def _mob_point(g: Moebius, w: complex) -> complex:
-    return (g.a * w + g.b) / (g.c * w + g.d)
 
 
 def face_pairings(params: TorusKnotParams) -> list:

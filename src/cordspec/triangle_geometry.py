@@ -11,13 +11,16 @@ from dataclasses import dataclass
 from .cord_engine import Cord, check_embedded, common_perpendicular
 from .isometry_group import (INFINITY, GroupPresentation, Horoball, Moebius,
                              apply_boundary, apply_h3, double_coset_canonical,
-                             image_horoball)
+                             image_horoball, is_infinity)
 
 _TOL = 1e-9
 
 
-def _is_inf(w) -> bool:
-    return w == INFINITY or (isinstance(w, complex) and not math.isfinite(abs(w)))
+def _same_point(u, v, tol: float = 1e-9) -> bool:
+    """Whether two points of C u {inf} coincide."""
+    if is_infinity(u) or is_infinity(v):
+        return is_infinity(u) and is_infinity(v)
+    return abs(u - v) < tol
 
 
 @dataclass(frozen=True)
@@ -32,10 +35,7 @@ class IdealTriangle:
             raise ValueError("need exactly three vertices")
         for i in range(3):
             for j in range(i + 1, 3):
-                wi, wj = v[i], v[j]
-                if _is_inf(wi) and _is_inf(wj):
-                    raise ValueError("vertices must be pairwise distinct")
-                if not _is_inf(wi) and not _is_inf(wj) and abs(wi - wj) < 1e-13:
+                if _same_point(v[i], v[j], 1e-13):
                     raise ValueError("vertices must be pairwise distinct")
 
 
@@ -71,11 +71,11 @@ class TruncatedTriangle:
 
 def _map_triple(p, q, r) -> Moebius:
     """Moebius map sending (p, q, r) to (0, 1, infinity)."""
-    if _is_inf(p):
+    if is_infinity(p):
         return Moebius(0, q - r, 1, -r)
-    if _is_inf(q):
+    if is_infinity(q):
         return Moebius(1, -p, 1, -r)
-    if _is_inf(r):
+    if is_infinity(r):
         return Moebius(1, -p, 0, q - p)
     return Moebius(q - r, -p * (q - r), q - p, -r * (q - p))
 
@@ -92,17 +92,11 @@ def _chain_centers(c0: Cord, c1: Cord, c2: Cord) -> tuple:
     """The three distinct horoball centers of a chained cord triple
     (c0: B0->B1, c1: B1->B2, c2: B2->B0); raises if the chain pattern or
     the pairwise sharing fails."""
-
-    def same(u, v):
-        if _is_inf(u) or _is_inf(v):
-            return _is_inf(u) and _is_inf(v)
-        return abs(u - v) < 1e-9
-
     w0, w1 = c0.centers
-    if not same(c1.centers[0], w1):
+    if not _same_point(c1.centers[0], w1):
         raise ValueError("cords are not chained: c1 does not start on c0's end")
     w2 = c1.centers[1]
-    if not (same(c2.centers[0], w2) and same(c2.centers[1], w0)):
+    if not (_same_point(c2.centers[0], w2) and _same_point(c2.centers[1], w0)):
         raise ValueError("cords are not chained: c2 does not close the triangle")
     return w0, w1, w2
 
@@ -123,19 +117,15 @@ def plane_defect(g: Moebius, cords, samples: int = 17) -> float:
     worst = 0.0
     for c in cords:
         gc = c.transformed(g)
-        if gc._parametric:
-            pts = [gc.point(k / (samples - 1.0)) for k in range(samples)]
-        else:
-            pts = [gc.start, gc.end]
-        for p in pts:
-            worst = max(worst, abs(p.x))
+        for k in range(samples):
+            worst = max(worst, abs(gc.point(k / (samples - 1.0)).x))
     return worst
 
 
 def _arc_length_at_vertex(v, ball: Horoball, u1, u2) -> float:
     """Horocyclic arc on the horosphere at vertex v between the edge
     geodesics toward the ideal points u1 and u2."""
-    if _is_inf(v):
+    if is_infinity(v):
         a = ball.size
         return abs(u1 - u2) / a
     m = Moebius(0, -1, 1, -v)  # send v to infinity
@@ -157,9 +147,7 @@ def truncate(tri: IdealTriangle, horoballs) -> TruncatedTriangle:
     v = tri.vertices
     balls = tuple(horoballs)
     for i, (w, B) in enumerate(zip(v, balls)):
-        ok = (_is_inf(w) and B.is_at_infinity()) or \
-            (not _is_inf(w) and not B.is_at_infinity() and abs(w - B.center) < 1e-9)
-        if not ok:
+        if not _same_point(w, B.center):
             raise ValueError(f"horoball {i} is not centered at vertex {i}")
     sides = []
     for i in range(3):
@@ -182,14 +170,14 @@ def corner_angle_defects(hexagon: TruncatedTriangle) -> list:
     out = []
     for i in range(3):
         w = v[i]
-        m = Moebius.identity() if _is_inf(w) else Moebius(0, -1, 1, -w)
+        m = Moebius.identity() if is_infinity(w) else Moebius(0, -1, 1, -w)
         for j in ((i + 1) % 3, (i + 2) % 3):
             # edge toward vertex j becomes the vertical line over m(v_j);
             # tangents are (0,0,1) and a horizontal vector: defect is the
             # horizontal component of the mapped side tangent
             side = next(s for s in hexagon.sides
                         if _touches(s, w) and _touches(s, v[j]))
-            t = 0.0 if _cord_starts_at(side, w) else 1.0
+            t = 0.0 if _same_point(side.centers[0], w) else 1.0
             vel = _side_tangent(side, t, m)
             horiz = math.hypot(vel[0], vel[1])
             out.append(horiz / max(math.hypot(*vel), 1e-300))
@@ -197,19 +185,7 @@ def corner_angle_defects(hexagon: TruncatedTriangle) -> list:
 
 
 def _touches(cord: Cord, w) -> bool:
-    for c in cord.centers:
-        if _is_inf(c) and _is_inf(w):
-            return True
-        if not _is_inf(c) and not _is_inf(w) and abs(c - w) < 1e-9:
-            return True
-    return False
-
-
-def _cord_starts_at(cord: Cord, w) -> bool:
-    c = cord.centers[0]
-    if _is_inf(c) or _is_inf(w):
-        return _is_inf(c) and _is_inf(w)
-    return abs(c - w) < 1e-9
+    return any(_same_point(c, w) for c in cord.centers)
 
 
 def _side_tangent(cord: Cord, t: float, m: Moebius, h: float = 1e-6):

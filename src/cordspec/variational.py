@@ -127,14 +127,22 @@ class HessianForm:
     @cached_property
     def eigenvalues(self) -> np.ndarray:
         """Sorted eigenvalues of the generalized problem H u = lambda M u:
-        per component, those of the tridiagonal M^{-1/2} H M^{-1/2}."""
+        per component, those of the tridiagonal M^{-1/2} H M^{-1/2}.  Equal
+        components (the direct route) are solved once and counted twice."""
         from scipy.linalg import eigh_tridiagonal
 
         m = self.mass
-        vals = [eigh_tridiagonal(d / m, e / np.sqrt(m[:-1] * m[1:]),
-                                 eigvals_only=True)
-                for d, e in zip(self.diag, self.off)]
-        return np.sort(np.concatenate(vals))
+
+        def solve(d, e):
+            return eigh_tridiagonal(d / m, e / np.sqrt(m[:-1] * m[1:]),
+                                    eigvals_only=True)
+
+        first = solve(self.diag[0], self.off[0])
+        if np.array_equal(*self.diag) and np.array_equal(*self.off):
+            second = first
+        else:
+            second = solve(self.diag[1], self.off[1])
+        return np.sort(np.concatenate([first, second]))
 
 
 def hessian(cord: Cord, N: int = 256, route: str = "direct",

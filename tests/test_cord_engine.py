@@ -79,6 +79,27 @@ def test_transformed_cord_is_isometric(fig8):
         assert np.abs(lhs - rhs).max() < 1e-10
 
 
+def test_cord_between_finite_horoballs():
+    B0, B1 = Horoball(0.3j, 0.5), Horoball(1.2 + 0j, 0.3)
+    cord = ce.common_perpendicular(B0, B1)
+    assert cord.centers[0] == B0.center
+    assert abs(cord.centers[1] - B1.center) < 1e-12
+    ell = cord.length
+    assert np.abs(cord.point(0.0).coords() - cord.start.coords()).max() < 1e-12
+    assert np.abs(cord.point(1.0).coords() - cord.end.coords()).max() < 1e-12
+    ts = np.linspace(0.0, 1.0, 6)
+    for s in ts:
+        for t in ts:
+            d = distance(cord.point(s), cord.point(t))
+            assert abs(d - abs(t - s) * ell) < 1e-10
+    # the velocity is along the radius of each horosphere at its endpoint
+    for B, t, q in ((B0, 0.0, cord.start), (B1, 1.0, cord.end)):
+        rad = q.coords() - np.array([B.center.real, B.center.imag, B.size / 2])
+        v = cord.velocity(t)
+        cosang = abs(rad @ v) / (np.linalg.norm(rad) * np.linalg.norm(v))
+        assert cosang > 1.0 - 1e-8
+
+
 def test_z_profile_residual_and_bounds(fig8):
     B0 = Horoball(INFINITY, A0)
     for word in ("b", "aB", "bab"):

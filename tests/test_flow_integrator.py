@@ -7,7 +7,7 @@ from cordspec import cord_engine as ce
 from cordspec import flow_integrator as fl
 from cordspec.flow_integrator import CotangentState
 from cordspec.hyperbolic_core import PointH3
-from cordspec.isometry_group import INFINITY, Horoball
+from cordspec.isometry_group import INFINITY, Horoball, image_horoball
 
 
 def rand_states(n, seed=3):
@@ -111,6 +111,19 @@ def test_shooting_matches_closed_form(fig8):
         g = fig8.evaluate(word)
         cord = fl.shoot_neumann(B0, g)
         assert abs(cord.length - ce.cord_length(g, 1.2)) < 1e-9
+
+
+def test_shot_cord_is_the_closed_form_cord(fig8):
+    B0 = Horoball(INFINITY, 1.2)
+    for word in ("b", "ab", "abb"):
+        g = fig8.evaluate(word)
+        shot = fl.shoot_neumann(B0, g)
+        assert shot.centers[0] == INFINITY
+        assert abs(shot.centers[1] - image_horoball(g, B0).center) < 1e-9
+        exact = ce.cord_for_class(g, 1.2)
+        for t in np.linspace(0.0, 1.0, 11):
+            err = np.abs(shot.point(t).coords() - exact.point(t).coords())
+            assert err.max() < 1e-9
 
 
 def test_shooting_unique_under_perturbed_starts(fig8):

@@ -10,7 +10,7 @@ from cordspec.isometry_group import (INFINITY, BudgetExceeded, Horoball,
                                      Moebius, apply_boundary, apply_h3,
                                      classify, double_coset_canonical,
                                      enumerate_elements, image_horoball,
-                                     verify_presentation)
+                                     is_infinity, verify_presentation)
 
 finite = st.floats(-4, 4, allow_nan=False)
 cplx = st.builds(complex, finite, finite)
@@ -74,6 +74,17 @@ def test_extension_limits_to_boundary_action():
     bdry = apply_boundary(g, w)
     q = apply_h3(g, PointH3(w.real, w.imag, 1e-7))
     assert abs(complex(q.x, q.y) - bdry) < 1e-5
+
+
+def test_is_infinity():
+    g = Moebius(2, 1 + 1j, 0.5j, 1)
+    for w in (INFINITY, float("inf"), complex(1.0, float("inf")),
+              apply_boundary(g, -g.d / g.c)):
+        assert is_infinity(w)
+    for w in (0j, 0, 2.5, 1e300 + 1e300j, apply_boundary(g, INFINITY)):
+        assert not is_infinity(w)
+    assert Horoball(INFINITY, 1.0).is_at_infinity()
+    assert not Horoball(1j, 1.0).is_at_infinity()
 
 
 def test_classification():

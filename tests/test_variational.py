@@ -76,17 +76,23 @@ def test_hessian_positive_index_zero():
 def test_band_eigenvalues_match_dense_generalized_solve(kwargs):
     from scipy.linalg import block_diag, eigh
 
-    H = va.hessian(vertical_cord(2.5), N=128, **kwargs)
-    # the dense 2(N+1)-square form and mass, one block per component
-    A = block_diag(*(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
-                     for d, e in zip(H.diag, H.off)))
-    M = np.diag(np.tile(H.mass, 2))
-    dense = eigh(A, M, eigvals_only=True)
-    np.testing.assert_allclose(H.eigenvalues, dense, rtol=1e-10)
-    zero_band = 10.0 / 128**2
-    assert va.index_nullity(H) == (int(np.sum(dense < -zero_band)),
-                                   int(np.sum(np.abs(dense) <= zero_band)))
-    assert va.smallest_eigenvalue(H) == pytest.approx(dense[0], rel=1e-10)
+    H0 = va.hessian(vertical_cord(2.5), N=128, **kwargs)
+    # the direct route gives equal components, which are solved once; a
+    # rescaled second component makes the two problems differ
+    H1 = va.HessianForm(H0.diag * [[1.0], [1.5]], H0.off * [[1.0], [0.5]],
+                        H0.mass, H0.ell, H0.N)
+    assert not np.array_equal(*H1.diag)
+    for H in (H0, H1):
+        # the dense 2(N+1)-square form and mass, one block per component
+        A = block_diag(*(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+                         for d, e in zip(H.diag, H.off)))
+        M = np.diag(np.tile(H.mass, 2))
+        dense = eigh(A, M, eigvals_only=True)
+        np.testing.assert_allclose(H.eigenvalues, dense, rtol=1e-10)
+        zero_band = 10.0 / 128**2
+        assert va.index_nullity(H) == (int(np.sum(dense < -zero_band)),
+                                       int(np.sum(np.abs(dense) <= zero_band)))
+        assert va.smallest_eigenvalue(H) == pytest.approx(dense[0], rel=1e-10)
 
 
 def test_hessian_routes_agree():
