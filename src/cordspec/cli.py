@@ -10,9 +10,7 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -43,7 +41,7 @@ class RunConfig:
     mesh_size: int = 256
     out_format: str = "json"
     tolerances: dict = field(default_factory=dict)
-    threads: int = 1
+    threads: int = 1  # read by nothing; perfbench/worker.py passes it
 
     def validate(self):
         if self.cutoff <= 0:
@@ -53,18 +51,6 @@ class RunConfig:
             raise ConfigError("mesh size must be a power of two >= 64")
         if self.out_format not in ("json", "csv"):
             raise ConfigError("format must be json or csv")
-        if self.threads < 1:
-            raise ConfigError("thread count must be >= 1")
-
-
-def _default_threads() -> int:
-    env = os.environ.get("CORDSPEC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ConfigError("CORDSPEC_THREADS must be an integer")
-    return 1
 
 
 def _load_rep(path):
@@ -80,13 +66,6 @@ def _resolve_height(height, rep):
     if height == "auto":
         return cord_engine.embedded_height(rep)
     return float(height)
-
-
-def _pool_map(fn, items, threads):
-    if threads <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
 
 
 # ---------------------------------------------------------------- verify
@@ -177,14 +156,13 @@ def run_verify(cfg: RunConfig, suites=None) -> tuple:
         if n not in _SUITES:
             raise ConfigError(f"unknown suite {n!r}")
 
-    def one(name):
+    results = {}
+    for name in names:
         fn, tol = _SUITES[name]
         tol = cfg.tolerances.get(name, cfg.tolerances.get("all", tol))
         res = fn(tol)
-        return name, {"max_residual": res, "tolerance": tol,
-                      "pass": bool(res <= tol)}
-
-    results = dict(_pool_map(one, names, cfg.threads))
+        results[name] = {"max_residual": res, "tolerance": tol,
+                         "pass": bool(res <= tol)}
     ok = all(v["pass"] for v in results.values())
     report = {"subcommand": "verify", "ok": ok, "suites": results}
     _validate_verify_schema(report)
@@ -241,17 +219,15 @@ def run_index(cfg: RunConfig, no_assert=False, constant_chord=False) -> tuple:
     a0 = _resolve_height(cfg.height, rep)
     classes = cord_engine.canonical_classes(rep, a0, cfg.cutoff)
 
-    def one(word_class):
-        word, g = word_class
+    rows = []
+    for word, g in classes:
         cord = cord_engine.cord_for_class(g, a0)
         H = variational.hessian(cord, N=cfg.mesh_size)
         # both read the one eigen solve that H keeps
         idx, nul = variational.index_nullity(H)
-        return {"class_word": word, "length": cord.length,
-                "index": idx, "nullity": nul,
-                "min_eigenvalue": variational.smallest_eigenvalue(H)}
-
-    rows = _pool_map(one, classes, cfg.threads)
+        rows.append({"class_word": word, "length": cord.length,
+                     "index": idx, "nullity": nul,
+                     "min_eigenvalue": variational.smallest_eigenvalue(H)})
     rows.sort(key=lambda r: (r["length"], r["class_word"]))
     ok = all(r["index"] == 0 and r["nullity"] == 0 for r in rows)
     report = {"subcommand": "index", "ok": ok or no_assert, "height": a0,
@@ -321,7 +297,6 @@ def _build_parser():
         s.add_argument("--cutoff", type=float, default=4.0)
         s.add_argument("--mesh-size", type=int, default=256)
         s.add_argument("--format", choices=("json", "csv"), default="json")
-        s.add_argument("--threads", type=int, default=None)
         s.add_argument("--out", default=None)
 
     v = sub.add_parser("verify")
@@ -346,8 +321,6 @@ def _build_parser():
 
 
 def _cfg_from_args(args) -> RunConfig:
-    threads = args.threads if getattr(args, "threads", None) else \
-        _default_threads()
     height = args.height
     if height != "auto":
         try:
@@ -356,8 +329,7 @@ def _cfg_from_args(args) -> RunConfig:
             raise ConfigError("height must be a number or 'auto'")
     return RunConfig(subcommand=args.cmd, input_path=args.input,
                      height=height, cutoff=args.cutoff,
-                     mesh_size=args.mesh_size, out_format=args.format,
-                     threads=threads)
+                     mesh_size=args.mesh_size, out_format=args.format)
 
 
 def main(argv=None) -> int:

@@ -101,12 +101,14 @@ def common_perpendicular(B0: Horoball, B1: Horoball) -> Cord:
         if d >= a0 - 1e-12:
             raise ValueError("tangent or overlapping horoballs (no cord)")
         return Cord.from_vertical(a0, B1.center, math.log(a0 / d))
-    # move B0's center to infinity with m: w -> -1/(w - w0)
+    # move B0's center to infinity with m: w -> -1/(w - w0), map the
+    # endpoints back, and keep the centers as given
     m = Moebius(0, -1, 1, -B0.center)
-    B0p = image_horoball(m, B0)
-    B1p = image_horoball(m, B1)
-    cord = common_perpendicular(B0p, B1p)
-    return cord.transformed(m.inverse())
+    cord = common_perpendicular(image_horoball(m, B0), image_horoball(m, B1))
+    back = m.inverse()
+    return Cord.from_endpoints(apply_h3(back, cord.start),
+                               apply_h3(back, cord.end), cord.length,
+                               (B0.center, B1.center))
 
 
 def cord_length(g: Moebius, a0: float) -> float:

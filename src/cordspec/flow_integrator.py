@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate, optimize
 
-from .hyperbolic_core import PointH3, christoffel
+from .hyperbolic_core import (PointH3, TangentVec, christoffel, distance,
+                              distance_gradient, geodesic_point)
 from .isometry_group import Horoball, Moebius, image_horoball
 
 
@@ -278,20 +278,35 @@ def form_identity_residuals(s: CotangentState, step: float = 1e-5) -> dict:
 # ---------------------------------------------------------------------------
 # Neumann shooting
 
+# Acceptance of a shot: the largest gradient component of d(P, Q), and the
+# witness geodesic's miss of Q relative to the height a0 of P.
+GRAD_TOL = 1e-9
+WITNESS_TOL = 1e-8
 
-def shoot_neumann(B0: Horoball, g: Moebius, max_iter: int = 60,
-                  tol: float = 1e-12, initial_guess=None):
-    """Solve the two-horosphere Neumann boundary value problem by damped
-    Newton iteration and return the resulting cord.
+
+def shoot_neumann(B0: Horoball, g: Moebius,
+                  initial_guess=(0.05, -0.05, 0.05, -0.05)):
+    """Solve the two-horosphere Neumann boundary value problem as the
+    minimum of the distance between the two horospheres, and return the
+    resulting cord.
 
     B0 must be the horoball {z >= a0} at infinity; the target is its image
-    B1 under g.  Unknowns are two angles fixing the launch point on the
-    sphere B1 (the geodesic leaves along the outward normal there, so
-    orthogonality at the B1 end holds by construction) and the flight time.
-    Residuals: arrival on {z = a0} and the two horizontal components of the
-    arrival velocity (orthogonality to the horosphere at infinity).
+    B1 under g, a ball of radius r resting on the center (cx, cy).  The
+    unknowns u = (x, y, s, t) place P = (cx + x, cy + y, a0) on dB0, and Q
+    on the sphere dB1 by stereographic coordinates from its ideal point:
+    Q = (cx, cy, r) + r n with n = (2s, 2t, 1 - s^2 - t^2) / (1 + s^2 + t^2).
+    That chart covers the whole horosphere.  Every nonconstant cord is
+    transversal with Morse index 0, so the cord is the nondegenerate minimum
+    of d(P, Q), found by BFGS with the closed-form gradient from the start
+    u = ``initial_guess``.
+
+    Two checks accept the solve: |grad d| <= GRAD_TOL, and the geodesic that
+    leaves P along the normal out of B0 arrives, after the minimal length,
+    within WITNESS_TOL * a0 of Q.  A solve that misses either raises
+    RuntimeError with both residuals.
     """
-    from .hyperbolic_core import TangentVec, geodesic_point
+    from scipy import optimize
+
     from . import cord_engine  # local import to avoid a module cycle
 
     if not B0.is_at_infinity():
@@ -301,62 +316,41 @@ def shoot_neumann(B0: Horoball, g: Moebius, max_iter: int = 60,
     a0 = B0.size
     B1 = image_horoball(g, B0)
     r = B1.size / 2.0
-    center = np.array([B1.center.real, B1.center.imag, r])
+    cx, cy = B1.center.real, B1.center.imag
 
-    def launch(u):
-        al, be, _ = u
-        # outward unit normal of the sphere, parameterized near the top
-        n = np.array([math.sin(al), math.sin(be),
-                      math.sqrt(max(1e-12, 1 - math.sin(al) ** 2 - math.sin(be) ** 2))])
-        q = PointH3.from_coords(center + r * n)
-        return q, n
+    def ends(u):
+        x, y, s, t = u.tolist()
+        w = 1.0 + s * s + t * t
+        return (PointH3(cx + x, cy + y, a0),
+                PointH3(cx + 2 * r * s / w, cy + 2 * r * t / w, 2 * r / w))
 
-    def endpoint(u):
-        q, n = launch(u)
-        v = TangentVec(q, tuple(q.z * n))  # unit hyperbolic speed
-        return geodesic_point(q, v, u[2])
+    def dist_and_grad(u):
+        P, Q = ends(u)
+        gP, gQ = distance_gradient(P, Q)
+        _, _, s, t = u.tolist()
+        w = 1.0 + s * s + t * t
+        chart = (2 * r / w**2) * np.array([[w - 2 * s * s, -2 * s * t],
+                                           [-2 * s * t, w - 2 * t * t],
+                                           [-2 * s, -2 * t]])
+        return distance(P, Q), np.concatenate([gP[:2], gQ @ chart])
 
-    def residual(u):
-        h = 1e-6
-        pe = endpoint(u)
-        up = endpoint([u[0], u[1], u[2] + h])
-        um = endpoint([u[0], u[1], u[2] - h])
-        vel = (up.coords() - um.coords()) / (2 * h)
-        return np.array([pe.z - a0, vel[0], vel[1]])
-
-    if initial_guess is None:
-        u = np.array([0.05, -0.05, math.log(a0 / B1.size)])
-    else:
-        u = np.asarray(initial_guess, dtype=float)
-
-    for _ in range(max_iter):
-        F = residual(u)
-        if np.max(np.abs(F)) < tol:
-            break
-        Jm = np.zeros((3, 3))
-        for j in range(3):
-            h = 1e-6 * max(1.0, abs(u[j]))
-            e = np.zeros(3)
-            e[j] = h
-            Jm[:, j] = (residual(u + e) - residual(u - e)) / (2 * h)
-        try:
-            duu = np.linalg.solve(Jm, -F)
-        except np.linalg.LinAlgError:
-            duu = -np.linalg.lstsq(Jm, F, rcond=None)[0]
-        lam = 1.0
-        base = np.linalg.norm(F)
-        for _ in range(30):
-            if np.linalg.norm(residual(u + lam * duu)) < base:
-                break
-            lam *= 0.5
-        u = u + lam * duu
-    F = residual(u)
-    if np.max(np.abs(F)) > 1e-8:
-        raise RuntimeError(f"shooting did not converge; residual {F}")
-    q1, _ = launch(u)
-    q0 = endpoint(u)
-    return cord_engine.Cord.from_endpoints(start=q0, end=q1,
-                                           length=float(u[2]),
+    try:
+        u = optimize.minimize(dist_and_grad,
+                              np.asarray(initial_guess, dtype=float),
+                              jac=True, method="BFGS",
+                              options={"gtol": GRAD_TOL / 10}).x
+        ell, grad = dist_and_grad(u)
+        P, Q = ends(u)
+        land = geodesic_point(P, TangentVec(P, (0.0, 0.0, -a0)), ell)
+    except (ValueError, OverflowError) as e:  # a step left upper half-space
+        raise RuntimeError(f"shooting did not converge: {e}") from e
+    miss = float(np.max(np.abs(land.coords() - Q.coords()))) / a0
+    gnorm = float(np.max(np.abs(grad)))
+    if not (gnorm <= GRAD_TOL and miss <= WITNESS_TOL):
+        raise RuntimeError(f"shooting did not converge: |grad d| {gnorm:.3g} "
+                           f"(tolerance {GRAD_TOL:g}), witness miss "
+                           f"{miss:.3g} (tolerance {WITNESS_TOL:g})")
+    return cord_engine.Cord.from_endpoints(start=P, end=Q, length=ell,
                                            centers=(B0.center, B1.center))
 
 
@@ -428,12 +422,16 @@ class CylMetric:
         return _E_prime(s) * _tau01(u) + _E(s) * _tau01_prime(u) / eps
 
     def _area(self, eps: float) -> float:
+        from scipy import integrate
+
         i = self.level
         val, _ = integrate.quad(lambda t: self._profile(t, eps),
                                 i - 0.5, i, limit=200)
         return (i - 0.5) + val
 
     def _solve_eps(self) -> float:
+        from scipy import optimize
+
         i = self.level
         f = lambda e: self._area(e) - i
         return optimize.brentq(f, 1e-6, 1 - 1e-9, xtol=1e-13)
@@ -454,6 +452,8 @@ class CylMetric:
             return a
         if a >= i:
             return float(i)
+        from scipy import integrate
+
         val, _ = integrate.quad(self.A, i - 0.5, a, limit=200)
         return (i - 0.5) + val
 

@@ -144,9 +144,29 @@ def riemann_fd(q: PointH3, X: TangentVec, Y: TangentVec, Z: TangentVec,
 
 
 def distance(q1: PointH3, q2: PointH3) -> float:
-    """Hyperbolic distance via cosh d = 1 + |dq|^2 / (2 z1 z2)."""
+    """Hyperbolic distance from cosh d - 1 = 2 sinh^2(d/2) = |dq|^2 / (2 z1 z2),
+    as 2 asinh, which keeps its precision for nearby points."""
     d2 = (q1.x - q2.x) ** 2 + (q1.y - q2.y) ** 2 + (q1.z - q2.z) ** 2
-    return math.acosh(1.0 + d2 / (2.0 * q1.z * q2.z))
+    return 2.0 * math.asinh(math.sqrt(d2 / (4.0 * q1.z * q2.z)))
+
+
+def distance_gradient(q1: PointH3, q2: PointH3):
+    """Gradient of the distance d(q1, q2) with respect to the coordinates of
+    q1 and q2: d(cosh d) / sinh d, with sinh d = sqrt(e (2 + e)) from
+    e = cosh d - 1 = |dq|^2 / (2 z1 z2)."""
+    dx = q1.x - q2.x
+    dy = q1.y - q2.y
+    dz = q1.z - q2.z
+    s = dx * dx + dy * dy + dz * dz
+    e = s / (2.0 * q1.z * q2.z)
+    sh = math.sqrt(max(e * (2.0 + e), 1e-300))
+    g1 = np.array([dx / (q1.z * q2.z),
+                   dy / (q1.z * q2.z),
+                   dz / (q1.z * q2.z) - s / (2.0 * q1.z**2 * q2.z)]) / sh
+    g2 = np.array([-dx / (q1.z * q2.z),
+                   -dy / (q1.z * q2.z),
+                   -dz / (q1.z * q2.z) - s / (2.0 * q1.z * q2.z**2)]) / sh
+    return g1, g2
 
 
 def busemann(q: PointH3) -> float:

@@ -11,7 +11,8 @@ from functools import cached_property
 import numpy as np
 
 from .cord_engine import Cord
-from .hyperbolic_core import PointH3, TangentVec, christoffel, distance, riemann
+from .hyperbolic_core import (PointH3, TangentVec, christoffel, distance,
+                              distance_gradient, riemann)
 from .isometry_group import Horoball
 
 
@@ -33,24 +34,6 @@ class DiscretePath:
                   B1: Horoball = None) -> "DiscretePath":
         nodes = [cord.point(k / N) for k in range(N + 1)]
         return cls(nodes, (B0, B1))
-
-
-def _dist_grad(q1: PointH3, q2: PointH3):
-    """Gradient of the distance d(q1, q2) with respect to the coordinates of
-    q1 and q2 (closed form from the cosh distance formula)."""
-    dx = q1.x - q2.x
-    dy = q1.y - q2.y
-    dz = q1.z - q2.z
-    s = dx * dx + dy * dy + dz * dz
-    ch = 1.0 + s / (2.0 * q1.z * q2.z)
-    sh = math.sqrt(max(ch * ch - 1.0, 1e-300))
-    g1 = np.array([dx / (q1.z * q2.z),
-                   dy / (q1.z * q2.z),
-                   dz / (q1.z * q2.z) - s / (2.0 * q1.z**2 * q2.z)]) / sh
-    g2 = np.array([-dx / (q1.z * q2.z),
-                   -dy / (q1.z * q2.z),
-                   -dz / (q1.z * q2.z) - s / (2.0 * q1.z * q2.z**2)]) / sh
-    return g1, g2
 
 
 def energy(path: DiscretePath) -> float:
@@ -99,7 +82,7 @@ def first_variation(path: DiscretePath, V: np.ndarray) -> float:
     for k in range(N):
         q1, q2 = path.nodes[k], path.nodes[k + 1]
         d = distance(q1, q2)
-        g1, g2 = _dist_grad(q1, q2)
+        g1, g2 = distance_gradient(q1, q2)
         out += N * d * (g1 @ V[k] + g2 @ V[k + 1])
     return out
 

@@ -76,24 +76,25 @@ def test_criterion_03_z_profile(fig8, spectrum):
               f"(residual {worst_res:.2e})", worst_res <= 1e-8 and bound_ok)
 
 
-def test_criterion_04_shooting_matches_closed_form(fig8, spectrum):
+def test_criterion_04_shooting_matches_closed_form(fig8):
     t0 = time.perf_counter()
     B0 = Horoball(INFINITY, A0)
+    classes = ce.canonical_classes(fig8, A0, 5.0)[::40]
     worst = 0.0
-    for e in spectrum.entries[:50]:
-        g = fig8.evaluate(e.class_word)
+    for _, g in classes:
         cord = fl.shoot_neumann(B0, g)
-        worst = max(worst, abs(cord.length - e.length))
-    # uniqueness: perturbed initial guesses converge to the same cord
-    g = fig8.evaluate(spectrum.entries[5].class_word)
+        worst = max(worst, abs(cord.length - ce.cord_length(g, A0)))
+    # uniqueness: perturbed starts (x, y, s, t) converge to the same cord
+    g = classes[5][1]
     base = fl.shoot_neumann(B0, g)
     uniq = True
-    for guess in ([0.2, 0.1, 0.5], [-0.15, 0.2, 1.5], [0.0, 0.0, 0.2]):
+    for guess in ([0.2, 0.1, 0.5, -0.3], [-0.15, 0.2, 1.5, 0.4],
+                  [0.0, 0.0, 0.2, 0.0]):
         c = fl.shoot_neumann(B0, g, initial_guess=guess)
         uniq &= abs(c.length - base.length) < 1e-8
     elapsed = time.perf_counter() - t0
-    report(4, f"shooting vs closed form on 50 classes "
-              f"(residual {worst:.2e}, {elapsed:.1f}s)",
+    report(4, f"shooting vs closed form on every 40th class up to L = 5, "
+              f"{len(classes)} in all (residual {worst:.2e}, {elapsed:.1f}s)",
            worst <= 1e-8 and uniq and elapsed < 60.0)
 
 

@@ -83,7 +83,7 @@ def test_cord_between_finite_horoballs():
     B0, B1 = Horoball(0.3j, 0.5), Horoball(1.2 + 0j, 0.3)
     cord = ce.common_perpendicular(B0, B1)
     assert cord.centers[0] == B0.center
-    assert abs(cord.centers[1] - B1.center) < 1e-12
+    assert cord.centers[1] == B1.center
     ell = cord.length
     assert np.abs(cord.point(0.0).coords() - cord.start.coords()).max() < 1e-12
     assert np.abs(cord.point(1.0).coords() - cord.end.coords()).max() < 1e-12

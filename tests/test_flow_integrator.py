@@ -106,11 +106,14 @@ def test_plurisubharmonic_closed_form():
 
 
 def test_shooting_matches_closed_form(fig8):
-    B0 = Horoball(INFINITY, 1.2)
-    for word in ("b", "ab", "bab"):
-        g = fig8.evaluate(word)
-        cord = fl.shoot_neumann(B0, g)
-        assert abs(cord.length - ce.cord_length(g, 1.2)) < 1e-9
+    # a0 = 1.0001 is just above the embedded height: "b" has a cord of
+    # length 2e-4 there
+    for a0 in (1.2, 1.0001):
+        B0 = Horoball(INFINITY, a0)
+        for word in ("b", "ab", "bab", "Bab"):
+            g = fig8.evaluate(word)
+            cord = fl.shoot_neumann(B0, g)
+            assert abs(cord.length - ce.cord_length(g, a0)) < 1e-9
 
 
 def test_shot_cord_is_the_closed_form_cord(fig8):
@@ -130,7 +133,10 @@ def test_shooting_unique_under_perturbed_starts(fig8):
     B0 = Horoball(INFINITY, 1.2)
     g = fig8.evaluate("ab")
     base = fl.shoot_neumann(B0, g)
-    for guess in ([0.2, 0.1, 0.5], [-0.15, 0.2, 1.5], [0.0, 0.0, 0.2]):
+    # starts (x, y, s, t): P offset from B1's center, Q in stereographic
+    # coordinates on the sphere dB1
+    for guess in ([0.2, 0.1, 0.5, -0.3], [-0.15, 0.2, 1.5, 0.4],
+                  [0.0, 0.0, 0.2, 0.0], [1.0, -1.0, 3.0, -2.0]):
         c = fl.shoot_neumann(B0, g, initial_guess=guess)
         assert abs(c.length - base.length) < 1e-9
         assert np.abs(c.end.coords() - base.end.coords()).max() < 1e-7
@@ -139,6 +145,30 @@ def test_shooting_unique_under_perturbed_starts(fig8):
 def test_shooting_rejects_bad_input():
     with pytest.raises(ValueError):
         fl.shoot_neumann(Horoball(0j, 1.0), None)
+
+
+@pytest.mark.parametrize("stop", [[0.05, -0.05, 0.05, -0.05],
+                                  [0.0, 0.0, 1e200, 0.0],
+                                  [1e200, 0.0, 0.0, 0.0]])
+def test_unconverged_shot_raises_runtime_error(fig8, monkeypatch, stop):
+    # a minimizer that stops at the start, or at a point off the charts
+    from scipy import optimize
+
+    monkeypatch.setattr(optimize, "minimize", lambda fun, x0, **kw:
+                        optimize.OptimizeResult(x=np.array(stop)))
+    with np.errstate(invalid="ignore"), \
+            pytest.raises(RuntimeError, match="did not converge"):
+        fl.shoot_neumann(Horoball(INFINITY, 1.2), fig8.evaluate("ab"))
+
+
+def test_long_classes_shoot_to_the_closed_form(fig8):
+    # cords of length 4.2 to 7.5, where the former Newton shooter failed
+    B0 = Horoball(INFINITY, 1.2)
+    for word in ("aabbaabb", "bbaBBabb", "bbbbabbbb", "bAbAbAbAb"):
+        g = fig8.evaluate(word)
+        ell = ce.cord_length(g, 1.2)
+        assert ell > 4.0
+        assert abs(fl.shoot_neumann(B0, g).length - ell) < 1e-9
 
 
 # --------------------------------------------------------------- cylinders

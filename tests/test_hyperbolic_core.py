@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cordspec.hyperbolic_core import (PointH3, TangentVec, busemann,
                                       christoffel, christoffel_fd, distance,
-                                      geodesic_h2_point, geodesic_point,
+                                      distance_gradient, geodesic_h2_point, geodesic_point,
                                       inner, metric_tensor, riemann,
                                       riemann_fd)
 
@@ -67,6 +67,13 @@ def test_distance_closed_form_values():
     # same height, cosh d = 1 + |dx|^2 / (2 z^2)
     d = distance(PointH3(0, 0, 1), PointH3(1, 0, 1))
     assert abs(math.cosh(d) - 1.5) < 1e-14
+    # nearby points: d = log(1 + h) and its gradient (0, 0, -1), (0, 0, 1/z2)
+    # keep their precision where 1 + h^2/2 rounds to 1
+    q1, q2 = PointH3(0, 0, 1), PointH3(0, 0, 1 + 1e-9)
+    assert abs(distance(q1, q2) / math.log1p(q2.z - 1) - 1.0) < 1e-12
+    g1, g2 = distance_gradient(q1, q2)
+    assert np.abs(g1 - [0, 0, -1]).max() < 1e-12
+    assert np.abs(g2 - [0, 0, 1 / q2.z]).max() < 1e-12
 
 
 @given(points, points)
