@@ -13,8 +13,9 @@ import numpy as np
 
 from .hyperbolic_core import PointH3
 from .isometry_group import (INFINITY, GroupPresentation, Horoball, Moebius,
-                             apply_boundary, apply_h3, double_coset_canonical,
-                             enumerate_elements, image_horoball)
+                             apply_boundary, apply_h3, center_key,
+                             double_coset_canonical, enumerate_elements,
+                             image_horoball)
 
 
 @dataclass
@@ -216,7 +217,7 @@ def canonical_classes(rep: GroupPresentation, a0: float, Lmax: float,
                       max_word_len: int = 10) -> list:
     """Deterministic list of (word, canonical double-coset representative)
     pairs with nondegenerate cord length <= Lmax, sorted by (length, word).
-    The word is the first enumerated word of the class."""
+    A class is named by its ``center_key`` and keeps its first word."""
     classes = {}
     for word, g in enumerate_elements(rep, max_radius=Lmax, a0=a0,
                                       max_word_len=max_word_len):
@@ -227,10 +228,9 @@ def canonical_classes(rep: GroupPresentation, a0: float, Lmax: float,
             continue  # tangent horoballs: degenerate class, rejected
         if 2.0 * math.log(a0 * ac) > Lmax + 1e-12:
             continue
-        cg = double_coset_canonical(g, rep)
-        key = cg.key(6)
+        key = center_key(g, rep)
         if key not in classes:
-            classes[key] = (word, cg)
+            classes[key] = (word, double_coset_canonical(g, rep))
     return sorted(classes.values(),
                   key=lambda wm: (2.0 * math.log(a0 * abs(wm[1].c)), wm[0]))
 

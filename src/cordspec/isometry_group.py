@@ -24,20 +24,13 @@ def is_infinity(w) -> bool:
 
 
 class Moebius:
-    """A normalized element of PSL(2,C).
-
-    The matrix is normalized to det 1 and sign-canonicalized so the first
-    nonzero entry of (a, b, c, d) has argument in (-pi/2, pi/2].
-    """
+    """An element of PSL(2,C): a det-1 matrix, defined up to sign."""
 
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a, b, c, d):
-        det = a * d - b * c
-        s = cmath.sqrt(det)
-        a, b, c, d = a / s, b / s, c / s, d / s
-        a, b, c, d = _canonical_sign(a, b, c, d)
-        self.a, self.b, self.c, self.d = a, b, c, d
+        s = cmath.sqrt(a * d - b * c)
+        self.a, self.b, self.c, self.d = a / s, b / s, c / s, d / s
 
     @classmethod
     def identity(cls) -> "Moebius":
@@ -61,27 +54,20 @@ class Moebius:
         return self.a + self.d
 
     def is_close(self, other: "Moebius", tol: float = _TOL) -> bool:
-        return max(abs(self.a - other.a), abs(self.b - other.b),
-                   abs(self.c - other.c), abs(self.d - other.d)) < tol
+        """Equality in PSL: close to ``other`` or to its negative."""
+        return any(max(abs(self.a - s * other.a), abs(self.b - s * other.b),
+                       abs(self.c - s * other.c), abs(self.d - s * other.d))
+                   < tol for s in (1, -1))
 
-    def key(self, digits: int = 8) -> tuple:
-        """Hashable rounded key for PSL equality testing."""
-        return tuple(round(v, digits) for pair in
-                     ((z.real, z.imag) for z in (self.a, self.b, self.c, self.d))
-                     for v in pair)
+    def key(self) -> tuple:
+        """Hashable key for PSL equality testing: of the rounded entries of
+        g and of -g, the larger tuple."""
+        k = tuple(round(v, 8) for z in (self.a, self.b, self.c, self.d)
+                  for v in (z.real, z.imag))
+        return max(k, tuple(-v for v in k))
 
     def __repr__(self):
         return f"Moebius({self.a:.6g}, {self.b:.6g}, {self.c:.6g}, {self.d:.6g})"
-
-
-def _canonical_sign(a, b, c, d):
-    for v in (a, b, c, d):
-        if abs(v) > 1e-13:
-            ph = cmath.phase(v)
-            if ph > math.pi / 2 + 1e-15 or ph <= -math.pi / 2 + 1e-15:
-                return -a, -b, -c, -d
-            return a, b, c, d
-    return a, b, c, d
 
 
 def apply_boundary(g: Moebius, w):
@@ -185,9 +171,7 @@ class GroupPresentation:
         out = Moebius.identity()
         for ch in word:
             out = out.compose(table[ch])
-        # normalized once more: rounded class keys are built from exactly
-        # these entries
-        return Moebius(out.a, out.b, out.c, out.d)
+        return out
 
     def lattice_vectors(self) -> tuple:
         (m1, m2), (l1, l2) = self.cusp_lattice
@@ -297,13 +281,22 @@ def enumerate_elements(rep: GroupPresentation, max_radius: float,
             break
 
 
-def _lattice_reduce(w: complex, mu: complex, lam: complex) -> complex:
-    """Reduce w modulo the lattice Z mu + Z lam into [0,1) x [0,1) coords."""
-    M = np.array([[mu.real, lam.real], [mu.imag, lam.imag]])
-    st = np.linalg.solve(M, [w.real, w.imag])
-    st -= np.floor(st + 1e-9)
-    v = M @ st
-    return complex(v[0], v[1])
+def _lattice_coords(w: complex, mu: complex, lam: complex) -> tuple:
+    """(s, t) in [0, 1)^2 with w = s mu + t lam modulo Z mu + Z lam."""
+    det = mu.real * lam.imag - lam.real * mu.imag
+    s = (w.real * lam.imag - lam.real * w.imag) / det
+    t = (mu.real * w.imag - w.real * mu.imag) / det
+    return s - math.floor(s + 1e-9), t - math.floor(t + 1e-9)
+
+
+def center_key(g: Moebius, rep: GroupPresentation) -> tuple:
+    """The name of g's cord class: its horoball center g(inf) = a/c in
+    lattice coordinates modulo the cusp lattice, rounded.  Multiplying g by
+    peripheral elements moves a/c by lattice vectors; no sign enters."""
+    if abs(g.c) < 1e-12:
+        raise ValueError("peripheral element has no cord class")
+    s, t = _lattice_coords(g.a / g.c, *rep.lattice_vectors())
+    return round(s, 6) % 1.0, round(t, 6) % 1.0
 
 
 def double_coset_canonical(g: Moebius, rep: GroupPresentation) -> Moebius:
@@ -311,16 +304,16 @@ def double_coset_canonical(g: Moebius, rep: GroupPresentation) -> Moebius:
 
     Left/right multiplication by the cusp translations shifts a/c and d/c
     by lattice vectors without changing c; the representative puts both in
-    the fundamental parallelogram of the cusp lattice, then recomputes b
-    from the determinant and applies the PSL sign rule.  Idempotent.
+    the fundamental parallelogram of the cusp lattice and recomputes b from
+    the determinant.  Idempotent up to sign.
     """
     if abs(g.c) < 1e-12:
         raise ValueError("peripheral element has no cord class")
     mu, lam = rep.lattice_vectors()
     c = g.c
-    ac = _lattice_reduce(g.a / c, mu, lam)
-    dc = _lattice_reduce(g.d / c, mu, lam)
-    a = ac * c
-    d = dc * c
+    s, t = _lattice_coords(g.a / c, mu, lam)
+    a = (s * mu + t * lam) * c
+    s, t = _lattice_coords(g.d / c, mu, lam)
+    d = (s * mu + t * lam) * c
     b = (a * d - 1.0) / c
     return Moebius(a, b, c, d)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 from .cord_engine import Cord, check_embedded, common_perpendicular
 from .isometry_group import (INFINITY, GroupPresentation, Horoball, Moebius,
-                             apply_boundary, apply_h3, double_coset_canonical,
+                             apply_boundary, apply_h3, center_key,
                              image_horoball, is_infinity)
 
 _TOL = 1e-9
@@ -219,7 +219,7 @@ def triangle_catalog(rep: GroupPresentation, a0: float, Lmax: float, words,
     for w, g in zip(words, (e0, e1, e2)):
         if abs(g.c) < 1e-9:
             raise ValueError(f"class {w!r} is peripheral (constant chord)")
-    target = double_coset_canonical(e2.inverse(), rep).key(6)
+    target = center_key(e2.inverse(), rep)
     B0 = Horoball(INFINITY, a0)
     cmax = math.exp(Lmax / 2.0) / a0
     found = []
@@ -231,7 +231,7 @@ def triangle_catalog(rep: GroupPresentation, a0: float, Lmax: float, words,
             ac = abs(h2.c)
             if ac < 1e-9 or ac > cmax or a0 * ac <= 1.0 + 1e-9:
                 continue
-            if double_coset_canonical(h2, rep).key(6) != target:
+            if center_key(h2, rep) != target:
                 continue
             B1 = image_horoball(e0, B0)
             B2 = image_horoball(h2, B0)

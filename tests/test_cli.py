@@ -59,10 +59,13 @@ def test_spectrum_golden(capsys, tmp_path):
     code, rep, _ = run(capsys, ["spectrum", "--height", "1.2",
                                 "--cutoff", "4.0", "--out", str(out)])
     assert code == 0
-    assert rep["classes"] == 1211
+    # 1211 less the 25 classes that a sign convention once counted twice;
+    # the Eisenstein oracle (tests/test_cord_engine.py) counts 1416, which
+    # the word cap of the enumeration does not reach
+    assert rep["classes"] == 1186
     assert rep["shortest"] == pytest.approx(2 * math.log(1.2))
     data = json.loads(out.read_text())
-    assert len(data["entries"]) == 1211
+    assert len(data["entries"]) == 1186
 
 
 def test_spectrum_auto_height(capsys):

@@ -1,12 +1,14 @@
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from cordspec import cord_engine as ce
 from cordspec.hyperbolic_core import distance
-from cordspec.isometry_group import INFINITY, Horoball, Moebius, image_horoball
+from cordspec.isometry_group import (INFINITY, Horoball, Moebius, center_key,
+                                     image_horoball)
 
 A0 = 1.2
 
@@ -119,7 +121,10 @@ def test_max_embedded_height(fig8):
 
 def test_enumerate_cords_golden(fig8):
     spec = ce.enumerate_cords(fig8, A0, 4.0)
-    assert len(spec.entries) == 1211
+    # 1211 less the 25 classes that a sign convention once counted twice;
+    # the oracle below counts 1416, which the word cap of the enumeration
+    # does not reach
+    assert len(spec.entries) == 1186
     assert spec.entries[0].length == pytest.approx(2 * math.log(A0), abs=1e-12)
     lengths = spec.lengths()
     assert lengths == sorted(lengths)
@@ -139,7 +144,91 @@ def test_canonical_classes_deterministic(fig8):
     c1 = ce.canonical_classes(fig8, A0, 2.0)
     c2 = ce.canonical_classes(fig8, A0, 2.0)
     assert [w for w, _ in c1] == [w for w, _ in c2]
-    assert len({g.key(6) for _, g in c1}) == len(c1)
+    assert len({center_key(g, fig8) for _, g in c1}) == len(c1)
+
+
+# Oracle for the figure-eight spectrum.  Riley's holonomy lies in
+# PSL(2, Z[w]), w = e^{2 pi i/3}, and both groups have one cusp (Riley, "A
+# quadratic parabolic group", 1975), so the horoball centers g(inf) are all
+# the reduced fractions a/c in Q(w), and the cord to the center a/c has
+# length 2 ln(a0 |c|).  A class is a center modulo the cusp lattice
+# Z + 2 sqrt(3) i Z = Z + 4w Z.  x + y w is the integer pair (x, y).
+
+def _mul(u, v):
+    return u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0] - u[1] * v[1]
+
+
+def _norm(u):
+    return u[0] * u[0] - u[0] * u[1] + u[1] * u[1]
+
+
+def _conj(u):
+    return u[0] - u[1], -u[1]
+
+
+def _coprime(u, v):
+    """Euclid's algorithm in Z[w]: rounding u/v coordinatewise leaves a
+    remainder of norm at most 3/4 of N(v)."""
+    while v != (0, 0):
+        n = _norm(v)
+        p, q = _mul(u, _conj(v))
+        qv = _mul(((2 * p + n) // (2 * n), (2 * q + n) // (2 * n)), v)
+        u, v = v, (u[0] - qv[0], u[1] - qv[1])
+    return _norm(u) == 1
+
+
+_UNITS = [(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1), (-1, -1)]
+
+
+def eisenstein_classes(a0, L):
+    """Classes with 1/a0 < |c| <= e^{L/2}/a0, as {(s, t): N(c)} with the
+    exact lattice coordinates a/c = s + t 2 sqrt(3) i mod 1, and the count
+    of 4 phi(c) over the denominators c up to units: a/c mod Z[w] takes
+    phi(c) values, and Z[w] / (Z + 4w Z) has 4 elements."""
+    nmax = (math.exp(L / 2) / a0) ** 2
+    r = math.isqrt(int(2 * nmax)) + 1
+    centers, count = {}, 0
+    for c in ((x, y) for x in range(-r, r + 1) for y in range(-r, r + 1)):
+        n = _norm(c)
+        if not 1 / a0**2 < n <= nmax or c != max(_mul(u, c) for u in _UNITS):
+            continue
+        # a c-bar mod N names the residue of a mod c
+        residues = {}
+        for a in ((x, y) for x in range(n) for y in range(n)):
+            p, q = _mul(a, _conj(c))
+            residues.setdefault((p % n, q % n), a)
+        for (p, q), a in residues.items():
+            if not _coprime(a, c):
+                continue
+            count += 4
+            for k in range(4):  # a/c = (p + (q + k n) w) / n mod Z[w]
+                t = Fraction(q + k * n, 4 * n)
+                centers[(Fraction(p, n) - 2 * t) % 1, t % 1] = n
+    return centers, count
+
+
+def _rounded(*st):
+    return tuple(round(float(x) % 1.0, 6) % 1.0 for x in st)
+
+
+@pytest.mark.parametrize("L", [2.0, 3.0, 4.0])
+def test_spectrum_centers_are_the_oracle_classes(fig8, L):
+    centers, count = eisenstein_classes(A0, L)
+    oracle = {_rounded(*st): n for st, n in centers.items()}
+    assert len(oracle) == len(centers) == count
+    got = set()
+    for e in ce.enumerate_cords(fig8, A0, L).entries:
+        g = fig8.evaluate(e.class_word)
+        w = g.a / g.c
+        key = _rounded(w.real, w.imag / (2 * math.sqrt(3)))
+        assert key not in got  # one entry per class
+        got.add(key)
+        assert key in oracle
+        assert e.length == pytest.approx(math.log(A0**2 * oracle[key]),
+                                         abs=1e-12)
+    if L == 2.0:
+        # denominators 1, 1 - w and 2, with phi = 1, 2 and 3
+        assert len(got) == count == 4 * (1 + 2 + 3)
 
 
 def test_spectrum_serialization(tmp_path, fig8):

@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from cordspec.hyperbolic_core import PointH3, distance
 from cordspec.isometry_group import (INFINITY, BudgetExceeded, Horoball,
                                      Moebius, apply_boundary, apply_h3,
-                                     classify, double_coset_canonical,
+                                     center_key, classify,
+                                     double_coset_canonical,
                                      enumerate_elements, image_horoball,
                                      is_infinity, verify_presentation)
 
@@ -26,13 +27,26 @@ def random_psl(seed):
 
 @given(st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
-def test_det_normalized_and_sign_canonical(seed):
+def test_det_normalized_and_psl_equality(seed):
     g = random_psl(seed)
     assert abs(g.a * g.d - g.b * g.c - 1.0) < 1e-12
     gg = Moebius(g.a, g.b, g.c, g.d)
-    assert gg.is_close(g, 1e-14)  # canonicalization idempotent
+    assert gg.is_close(g, 1e-14)  # normalization idempotent
     neg = Moebius(-g.a, -g.b, -g.c, -g.d)
     assert neg.is_close(g, 1e-12)  # PSL sign quotient
+    assert neg.key() == gg.key()
+    assert not g.is_close(g.compose(random_psl(seed + 1)), 1e-12)
+
+
+# Words whose products are one element of PSL but come out of float
+# arithmetic with opposite signs, so that a sign convention read off the
+# entries tells them apart.
+@pytest.mark.parametrize("w1, w2", [("baaba", "babaBABab"),
+                                    ("babbAA", "abAABAbA")])
+def test_sign_flipped_products_are_one_element(fig8, w1, w2):
+    g, h = fig8.evaluate(w1), fig8.evaluate(w2)
+    assert g.is_close(h, 1e-8)
+    assert g.key() == h.key()
 
 
 @given(st.integers(0, 10**6), st.integers(0, 10**6))
@@ -147,10 +161,19 @@ def test_generator_classification(fig8):
         assert classify(g) == "parabolic"
 
 
-def test_enumeration_golden_count(fig8):
+def psl_invariant(g):
+    """The quadratic monomials a^2, ab, ..., d^2, rounded: equal for g and
+    -g, and determining g up to sign."""
+    a, b, c, d = g.a, g.b, g.c, g.d
+    return tuple(round(v, 6) for z in (a * a, a * b, a * c, a * d, b * b,
+                                       b * c, b * d, c * c, c * d, d * d)
+                 for v in (z.real, z.imag))
+
+
+def test_enumeration_yields_distinct_elements(fig8):
     els = [g for _, g in enumerate_elements(fig8, max_radius=3.0,
                                             max_word_len=10)]
-    assert len(els) == 16092
+    assert len({psl_invariant(g) for g in els}) == len(els)
     assert min(abs(g.c) for g in els if abs(g.c) > 1e-9) == pytest.approx(1.0)
 
 
@@ -186,8 +209,8 @@ def test_double_coset_canonical_properties(fig8):
     for left in (mu, lam, mu.inverse()):
         for right in (mu, lam.inverse()):
             h = left.compose(g).compose(right)
-            ch = double_coset_canonical(h, fig8)
-            assert ch.key(6) == cg.key(6)
+            assert center_key(h, fig8) == center_key(g, fig8)
+            assert double_coset_canonical(h, fig8).is_close(cg, 1e-9)
     # |c| is a class invariant
     assert abs(abs(cg.c) - abs(g.c)) < 1e-12
 
@@ -195,3 +218,5 @@ def test_double_coset_canonical_properties(fig8):
 def test_double_coset_rejects_peripheral(fig8):
     with pytest.raises(ValueError):
         double_coset_canonical(fig8.evaluate("a"), fig8)
+    with pytest.raises(ValueError):
+        center_key(fig8.evaluate("a"), fig8)
