@@ -44,8 +44,8 @@ class RunConfig:
     threads: int = 1  # read by nothing; perfbench/worker.py passes it
 
     def validate(self):
-        if self.cutoff <= 0:
-            raise ConfigError("cutoff must be positive")
+        if not (math.isfinite(self.cutoff) and self.cutoff > 0):
+            raise ConfigError("length cutoff must be positive and finite")
         n = self.mesh_size
         if n < 64 or (n & (n - 1)) != 0:
             raise ConfigError("mesh size must be a power of two >= 64")
@@ -238,6 +238,7 @@ def run_index(cfg: RunConfig, no_assert=False, constant_chord=False) -> tuple:
 # ------------------------------------------------------------------ torus
 
 def run_torus(p, q, ambient, Lmax, out_prefix=None) -> tuple:
+    RunConfig("torus", cutoff=Lmax).validate()
     try:
         params = torus_knot_h2r.TorusKnotParams(p, q, ambient)
     except ValueError as e:

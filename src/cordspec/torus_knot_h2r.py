@@ -9,10 +9,10 @@ import cmath
 import math
 from dataclasses import dataclass
 
-from .isometry_group import (INFINITY, Horoball, Moebius, apply_boundary,
-                             image_horoball, is_infinity)
+import numpy as np
 
-_TOL = 1e-9
+from .isometry_group import (INFINITY, BudgetExceeded, Horoball, Moebius,
+                             apply_boundary, image_horoball, is_infinity)
 
 
 @dataclass(frozen=True)
@@ -215,11 +215,54 @@ def _cusp_horoballs(params: TorusKnotParams, y0: float) -> list:
     return balls
 
 
-def _infinity_translation(phi: Moebius) -> float:
-    """Translation length at infinity of a parabolic fixing infinity."""
-    if abs(phi.c) > 1e-12:
-        raise ValueError("not upper triangular")
-    return abs((phi.b / phi.d).real)
+# A row of Moebius maps is held as 8 real arrays (Re a, Im a, ..., Im d).
+# The complex arithmetic is spelled out in the order CPython performs it on
+# scalars, so each row equals what Moebius.compose gives, bit for bit.
+
+def _entries(maps) -> np.ndarray:
+    return np.array([[v for z in (m.a, m.b, m.c, m.d)
+                      for v in (z.real, z.imag)] for m in maps]).T
+
+
+def _mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _dot(x, y, z, w):
+    """x y + z w."""
+    (pr, pi), (qr, qi) = _mul(x, y), _mul(z, w)
+    return pr + qr, pi + qi
+
+
+def _compose(g, m) -> np.ndarray:
+    """Rows of g . m divided by s = cmath.sqrt(ad - bc), as Moebius.__init__
+    divides them.  det ~ 1 takes the branch of cmath.sqrt for Re(det) > 0
+    and the branch of Smith's division for |Im s| <= |Re s|."""
+    out = [_dot(g[i:i + 2], m[j:j + 2], g[i + 2:i + 4], m[j + 4:j + 6])
+           for i in (0, 4) for j in (0, 2)]  # a, b, c, d
+    (ar, ai), (br, bi) = _mul(out[0], out[3]), _mul(out[1], out[2])
+    zr, zi = ar - br, ai - bi
+    sr = 2.0 * np.sqrt(zr / 8.0 + np.hypot(zr / 8.0, np.abs(zi) / 8.0))
+    si = np.copysign(np.abs(zi) / (2.0 * sr), zi)
+    r = si / sr
+    den = sr + si * r
+    return np.array([v for x, y in out
+                     for v in ((x + y * r) / den, (y - x * r) / den)])
+
+
+def _abs_c(g, m):
+    """|c| of g . m before the division by sqrt(det) ~ 1: a prefilter within
+    a relative 1e-9 of the exact value."""
+    return np.hypot(*_dot(g[4:6], m[0:2], g[6:8], m[4:6]))
+
+
+def _psl_keys(g) -> list:
+    """Moebius.key of each row as 64 bytes: entries rounded to 8 digits,
+    negated where the first nonzero one is negative."""
+    k = np.rint(g.T * 1e8)
+    first = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
+    k = np.ascontiguousarray(k * np.where(first < 0, -1.0, 1.0)[:, None] + 0.0)
+    return k.view(np.dtype((np.void, 64))).ravel().tolist()
 
 
 def enumerate_surface_cords(params: TorusKnotParams, Lmax: float,
@@ -234,66 +277,100 @@ def enumerate_surface_cords(params: TorusKnotParams, Lmax: float,
     translation); every cord between horodisk lifts of the boundary
     horocycles arises this way, and the p source cusps contribute
     rotation-equivalent copies (tau_1 conjugation permutes the phi_i), so
-    each infinity-based family is reported once per source cusp.
-    Deterministic order: by length, then word, then target cusp.
+    each infinity-based family is reported once per source cusp.  A family
+    is named by its first word in breadth-first order: shortest first, then
+    lexicographic in the sorted letter labels "-1", ..., "-p", "1", ..., "p".
+    Each level of the search is held as arrays: the rows (a, b, c, d), the
+    parent row and the last letter.
+    Deterministic order: by length, then word, then source cusp, then
+    target cusp.
     """
-    from .isometry_group import BudgetExceeded
-
     p, _ = params.geometric_pq()
     pairings = face_pairings(params)[:p]
     table = {}
     for i, fp in enumerate(pairings, start=1):
         table[f"{i}"] = (fp.h2, fp.shift)
         table[f"-{i}"] = (fp.h2.inverse(), -fp.shift)
-    balls = _cusp_horoballs(params, y0)
-    s_inf = _infinity_translation(pairings[p - 1].h2)
+    labels = sorted(table)
+    # inverse[k] is the letter that may not follow letter k; the root's
+    # last letter len(labels) has none
+    inverse = np.array([labels.index(lab[1:] if lab.startswith("-")
+                                     else "-" + lab) for lab in labels] + [-1])
+    letters = _entries([table[lab][0] for lab in labels])
+    # B_j = m . {z >= t}, with m = None for the B_j at infinity
+    balls = [(None, B.size) if B.is_at_infinity() else
+             (_entries([Moebius(B.center, -1, 1, 0)])[:, 0], 1.0 / B.size)
+             for B in _cusp_horoballs(params, y0)]
+    phi = pairings[p - 1].h2  # a parabolic fixing infinity
+    if abs(phi.c) > 1e-12:
+        raise ValueError("not upper triangular")
+    s_inf = abs((phi.b / phi.d).real)  # translation length at infinity
     dmin = math.exp(-Lmax) * y0  # emission bound on image diameters
+    cmax = 8.0 / math.sqrt(dmin * y0)
+    lo, hi = dmin - 1e-12, y0 * (1.0 - 1e-12)
     families = {}
+    levels = []  # per word length: (parent row, last letter)
 
-    def consider(word, shift, g):
-        for j, B in enumerate(balls, start=1):
-            gb = image_horoball(g, B)
-            if gb.is_at_infinity() or gb.size < dmin - 1e-12:
-                continue
-            if gb.size > y0 * (1.0 - 1e-12):
-                continue  # tangent/overlapping: degenerate
-            x = gb.center.real % s_inf
-            key = (round(gb.size, 9), round(min(x, s_inf - x), 8)
+    def scan(g):
+        """Register the families first reached by the newest level g."""
+        found = []
+        for j, (m, t) in enumerate(balls, start=1):
+            r = np.hypot(g[4], g[5]) if m is None else _abs_c(g, m)
+            with np.errstate(divide="ignore"):
+                near = 1.0 / (r * r * t)
+            rows = np.flatnonzero((near >= lo * (1 - 1e-9))
+                                  & (near <= hi * (1 + 1e-9)))
+            h = g[:, rows] if m is None else _compose(g[:, rows], m)
+            found += zip(rows.tolist(), [j] * len(rows),
+                         *h[[0, 1, 4, 5]].tolist())
+        for row, j, ar, ai, cr, ci in sorted(found):
+            c = complex(cr, ci)  # diameter and center as image_horoball
+            size = 1.0 / (abs(c) ** 2 * balls[j - 1][1])
+            if size < lo or size > hi:
+                continue  # too short, or tangent/overlapping: degenerate
+            x = (complex(ar, ai) / c).real % s_inf
+            key = (round(size, 9), round(min(x, s_inf - x), 8)
                    if x < 1e-8 or s_inf - x < 1e-8 else round(x, 8), j)
             if key not in families:
-                ell = math.log(y0 / gb.size)
-                families[key] = CordFamily(word or "e", p, j, ell, shift)
+                families[key] = (len(levels) - 1, row, j,
+                                 math.log(y0 / size))
 
-    frontier = [("", 0.0, Moebius.identity())]
-    consider(*frontier[0])
-    seen = {Moebius.identity().key()}
-    count = 0
+    g = _entries([Moebius.identity()])
+    levels.append((None, np.array([len(labels)])))
+    scan(g)
+    seen = set(_psl_keys(g))
     for _ in range(max_word_len):
-        nxt = []
-        for word, shift, g in frontier:
-            last = word.split(".")[-1] if word else ""
-            for lab, (m, sh) in sorted(table.items()):
-                if last and lab == (last[1:] if last.startswith("-")
-                                    else "-" + last):
-                    continue
-                h = g.compose(m)
-                if prune and abs(h.c) > 8.0 / math.sqrt(dmin * y0):
-                    continue
-                k = h.key()
-                if k in seen:
-                    continue
+        ok = np.arange(len(labels)) != inverse[levels[-1][1]][:, None]
+        if prune:
+            ok &= _abs_c(g[:, :, None], letters[:, None]) <= cmax * (1 + 1e-9)
+        parent, letter = np.divmod(np.flatnonzero(ok), len(labels))
+        h = _compose(g[:, parent], letters[:, letter])
+        if prune:
+            ok = np.hypot(h[4], h[5]) <= cmax
+            parent, letter, h = parent[ok], letter[ok], h[:, ok]
+        new = []
+        for i, k in enumerate(_psl_keys(h)):
+            if k not in seen:
                 seen.add(k)
-                count += 1
-                if count > max_elements:
-                    raise BudgetExceeded(f"element cap {max_elements}")
-                w = f"{word}.{lab}" if word else lab
-                consider(w, shift + sh, h)
-                nxt.append((w, shift + sh, h))
-        frontier = nxt
-        if not frontier:
+                new.append(i)
+        if len(seen) - 1 > max_elements:  # the identity is not counted
+            raise BudgetExceeded(f"element cap {max_elements}")
+        if not new:
             break
-    base = sorted(families.values(),
-                  key=lambda f: (f.length, f.word, f.target_cusp))
+        levels.append((parent[new], letter[new]))
+        g = h[:, new]
+        scan(g)
+
+    base = []
+    for depth, row, j, ell in families.values():
+        word = []
+        for parent, letter in levels[depth:0:-1]:
+            word.append(labels[letter[row]])
+            row = parent[row]
+        shift = sum((table[lab][1] for lab in word), 0.0)
+        base.append(CordFamily(".".join(reversed(word)) or "e", p, j, ell,
+                               shift))
+    base.sort(key=lambda f: (f.length, f.word, f.target_cusp))
     out = []
     for src in range(1, p + 1):  # rotation-equivalent copies per source cusp
         for f in base:

@@ -100,6 +100,20 @@ def test_spectrum_bad_cutoff(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("cutoff", ["nan", "inf", "0"])
+def test_spectrum_nonfinite_cutoff_is_config_error(capsys, cutoff):
+    code, rep, err = run(capsys, ["spectrum", "--cutoff", cutoff])
+    assert code == 2 and rep is None and "cutoff" in err
+
+
+@pytest.mark.parametrize("length", ["nan", "inf", "-1", "0"])
+def test_torus_bad_max_length_is_config_error(capsys, length):
+    # a NaN cutoff compares false with every bound: nothing is pruned or cut
+    code, rep, err = run(capsys, ["torus", "--p", "2", "--q", "3",
+                                  "--max-length", length])
+    assert code == 2 and rep is None and "cutoff" in err
+
+
 def test_index_constant_chord(capsys):
     code, rep, _ = run(capsys, ["index", "--constant-chord",
                                 "--mesh-size", "128"])

@@ -110,24 +110,28 @@ def test_enumerate_cords_golden_trefoil():
         assert srcs.count(1) == srcs.count(2) == srcs.count(3)
 
 
-def test_family_words_compose_to_their_lengths():
-    # each base family's dotted word, multiplied out from the face pairings,
-    # carries the target horodisk to one of diameter y0 e^{-length}
-    params = tk.TorusKnotParams(2, 3)
+@pytest.mark.parametrize("q,n_base", [(3, 20), (5, 64)],
+                         ids=["p2q3", "p2q5"])
+def test_family_words_compose_to_their_lengths(q, n_base):
+    # each base family's dotted word, multiplied out from the face pairings
+    # with scalar Moebius products, carries the target horodisk to one of
+    # diameter y0 e^{-length}; the array enumeration repeats this arithmetic
+    # operation for operation, so the lengths agree exactly
+    params = tk.TorusKnotParams(2, q)
     p, _ = params.geometric_pq()
     y0 = 4.0
     pairings = tk.face_pairings(params)[:p]
     balls = tk._cusp_horoballs(params, y0)
     base = [f for f in tk.enumerate_surface_cords(params, 6.0, y0=y0)
             if f.source_cusp == p]
-    assert len(base) == 20
+    assert len(base) == n_base
     for f in base:
         g = Moebius.identity()
         for lab in ([] if f.word == "e" else f.word.split(".")):
             h2 = pairings[abs(int(lab)) - 1].h2
             g = g.compose(h2.inverse() if lab.startswith("-") else h2)
         gb = image_horoball(g, balls[f.target_cusp - 1])
-        assert abs(math.log(y0 / gb.size) - f.length) < 1e-9
+        assert math.log(y0 / gb.size) == f.length
 
 
 def test_enumerate_cords_pruning_lossless():
@@ -137,6 +141,17 @@ def test_enumerate_cords_pruning_lossless():
     key = lambda f: (f.word, f.source_cusp, f.target_cusp,
                      round(f.length, 9), f.shift)
     assert sorted(map(key, a)) == sorted(map(key, b))
+
+
+def test_enumerate_cords_independent_of_word_cap():
+    # the families up to L = 6 are all reached by words of length <= 8
+    params = tk.TorusKnotParams(2, 5)
+    key = lambda f: (f.word, f.source_cusp, f.target_cusp, f.length, f.shift)
+    sets = [list(map(key, tk.enumerate_surface_cords(params, 6.0,
+                                                     max_word_len=cap)))
+            for cap in (8, 10, 12)]
+    assert len(sets[0]) == 320
+    assert sets[0] == sets[1] == sets[2]
 
 
 def test_enumerate_cords_monotone_in_cutoff():
