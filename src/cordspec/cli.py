@@ -46,6 +46,9 @@ class RunConfig:
     def validate(self):
         if not (math.isfinite(self.cutoff) and self.cutoff > 0):
             raise ConfigError("length cutoff must be positive and finite")
+        if self.height != "auto" and not (math.isfinite(self.height)
+                                          and self.height > 0):
+            raise ConfigError("height must be positive and finite")
         n = self.mesh_size
         if n < 64 or (n & (n - 1)) != 0:
             raise ConfigError("mesh size must be a power of two >= 64")
@@ -217,6 +220,10 @@ def run_index(cfg: RunConfig, no_assert=False, constant_chord=False) -> tuple:
         return (EXIT_OK if report["ok"] else EXIT_ASSERT), report
     rep = _load_rep(cfg.input_path)
     a0 = _resolve_height(cfg.height, rep)
+    try:
+        cord_engine.check_embedded(rep, a0)
+    except ValueError as e:
+        raise ConfigError(str(e))
     classes = cord_engine.canonical_classes(rep, a0, cfg.cutoff)
 
     rows = []

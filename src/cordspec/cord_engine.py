@@ -180,15 +180,19 @@ class ActionSpectrum:
             f.write(self.to_json())
 
 
-def max_embedded_height(rep: GroupPresentation, search_word_len: int = 8) -> float:
+_EMBEDDED_SEARCH_WORD_LEN = 8
+
+
+def max_embedded_height(rep: GroupPresentation) -> float:
     """Smallest height a0 such that the translates of {z >= a0} are pairwise
-    disjoint: 1 / min |c| over the enumerated non-peripheral elements.
+    disjoint: 1 / min |c| over the non-peripheral elements of word length
+    at most ``_EMBEDDED_SEARCH_WORD_LEN``.
 
     Returns the default 1.0 when the group has no element with c != 0.
     """
     best = None
     for _, g in enumerate_elements(rep, max_radius=12.0,
-                                   max_word_len=search_word_len):
+                                   max_word_len=_EMBEDDED_SEARCH_WORD_LEN):
         ac = abs(g.c)
         if ac > 1e-9 and (best is None or ac < best):
             best = ac

@@ -59,13 +59,6 @@ class Moebius:
                        abs(self.c - s * other.c), abs(self.d - s * other.d))
                    < tol for s in (1, -1))
 
-    def key(self) -> tuple:
-        """Hashable key for PSL equality testing: of the rounded entries of
-        g and of -g, the larger tuple."""
-        k = tuple(round(v, 8) for z in (self.a, self.b, self.c, self.d)
-                  for v in (z.real, z.imag))
-        return max(k, tuple(-v for v in k))
-
     def __repr__(self):
         return f"Moebius({self.a:.6g}, {self.b:.6g}, {self.c:.6g}, {self.d:.6g})"
 
@@ -233,6 +226,89 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
+# A row of Moebius maps is held as 8 real arrays (Re a, Im a, ..., Im d).
+# The complex arithmetic is spelled out in the order CPython performs it on
+# scalars, so each row equals what Moebius.compose gives, bit for bit.
+
+def _entries(maps) -> np.ndarray:
+    return np.array([[v for z in (m.a, m.b, m.c, m.d)
+                      for v in (z.real, z.imag)] for m in maps]).T
+
+
+def _mul(x, y):
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _dot(x, y, z, w):
+    """x y + z w."""
+    (pr, pi), (qr, qi) = _mul(x, y), _mul(z, w)
+    return pr + qr, pi + qi
+
+
+def _compose(g, m) -> np.ndarray:
+    """Rows of g . m divided by s = cmath.sqrt(ad - bc), as Moebius.__init__
+    divides them.  det ~ 1 takes the branch of cmath.sqrt for Re(det) > 0
+    and the branch of Smith's division for |Im s| <= |Re s|."""
+    out = [_dot(g[i:i + 2], m[j:j + 2], g[i + 2:i + 4], m[j + 4:j + 6])
+           for i in (0, 4) for j in (0, 2)]  # a, b, c, d
+    (ar, ai), (br, bi) = _mul(out[0], out[3]), _mul(out[1], out[2])
+    zr, zi = ar - br, ai - bi
+    sr = 2.0 * np.sqrt(zr / 8.0 + np.hypot(zr / 8.0, np.abs(zi) / 8.0))
+    si = np.copysign(np.abs(zi) / (2.0 * sr), zi)
+    r = si / sr
+    den = sr + si * r
+    return np.array([v for x, y in out
+                     for v in ((x + y * r) / den, (y - x * r) / den)])
+
+
+def _abs_c(g, m):
+    """|c| of g . m before the division by sqrt(det) ~ 1: a prefilter within
+    a relative 1e-9 of the exact value."""
+    return np.hypot(*_dot(g[4:6], m[0:2], g[6:8], m[4:6]))
+
+
+def _psl_keys(g) -> list:
+    """The PSL key of each row as 64 bytes: entries rounded to 8 digits,
+    negated where the first nonzero one is negative, so g and -g agree."""
+    k = np.rint(g.T * 1e8)
+    first = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
+    k = np.ascontiguousarray(k * np.where(first < 0, -1.0, 1.0)[:, None] + 0.0)
+    return k.view(np.dtype((np.void, 64))).ravel().tolist()
+
+
+def reduced_levels(letters, inverse, cmax: float, max_word_len: int,
+                   max_elements: int):
+    """Breadth-first search over the freely reduced words in the k rows of
+    ``letters``, where letter inverse[i] cancels letter i.  Yields each level
+    as (rows, parent row, last letter), the identity first (parent None).
+    A word is kept if |c| <= cmax and its element was not kept before, in
+    PSL.  Stops after ``max_word_len`` letters or at a level that adds
+    nothing; raises BudgetExceeded past ``max_elements`` kept elements."""
+    k = letters.shape[1]
+    inverse = np.append(inverse, -1)  # the identity's last letter k has none
+    g, last = _entries([Moebius.identity()]), np.array([k])
+    yield g, None, last
+    seen = set(_psl_keys(g))
+    for _ in range(max_word_len):
+        ok = np.arange(k) != inverse[last][:, None]
+        ok &= _abs_c(g[:, :, None], letters[:, None]) <= cmax * (1 + 1e-9)
+        parent, letter = np.divmod(np.flatnonzero(ok), k)
+        h = _compose(g[:, parent], letters[:, letter])
+        ok = np.hypot(h[4], h[5]) <= cmax
+        parent, letter, h = parent[ok], letter[ok], h[:, ok]
+        new = []
+        for i, key in enumerate(_psl_keys(h)):
+            if key not in seen:
+                seen.add(key)
+                new.append(i)
+        if len(seen) - 1 > max_elements:
+            raise BudgetExceeded(f"element cap {max_elements} exceeded")
+        if not new:
+            return
+        g, last = h[:, new], letter[new]
+        yield g, parent[new], last
+
+
 def enumerate_elements(rep: GroupPresentation, max_radius: float,
                        a0: float = 1.0, max_word_len: int = 14,
                        max_elements: int = 2_000_000,
@@ -246,39 +322,29 @@ def enumerate_elements(rep: GroupPresentation, max_radius: float,
     are pruned: for discrete cusped holonomies |c| grows along reduced words
     once it leaves the peripheral subgroup, and the margin absorbs the
     non-monotone steps (validated against an unpruned oracle in the tests).
+    Each element is kept once, under its first word; ``max_elements``
+    bounds the elements kept, yielded or not.
     Deterministic order: by word length, then lexicographic word.
     """
     cmax = math.exp(max_radius / 2.0) / a0
     table = rep.letters()
-    letters = sorted(table.keys())
-    ident = Moebius.identity()
-    emitted = {ident.key()}
-    frontier = [("", ident)]
-    count = 0
-    for _ in range(max_word_len):
-        nxt = []
-        for word, g in frontier:
-            for ch in letters:
-                if word and word[-1] == ch.swapcase() and word[-1] != ch:
-                    continue
-                h = g.compose(table[ch])
-                ac = abs(h.c)
-                if ac > margin * cmax:
-                    continue
-                w = word + ch
-                nxt.append((w, h))
-                if ac < 1e-12 or ac <= cmax + 1e-12:
-                    k = h.key()
-                    if k not in emitted:
-                        emitted.add(k)
-                        count += 1
-                        if count > max_elements:
-                            raise BudgetExceeded(
-                                f"element cap {max_elements} exceeded")
-                        yield w, h
-        frontier = nxt
-        if not frontier:
-            break
+    names = sorted(table)
+    words = [""]
+    for g, parent, letter in reduced_levels(
+            _entries(table[ch] for ch in names),
+            [names.index(ch.swapcase()) for ch in names],
+            margin * cmax, max_word_len, max_elements):
+        if parent is None:
+            continue  # the identity is not yielded
+        words = [words[i] + names[j]
+                 for i, j in zip(parent.tolist(), letter.tolist())]
+        rows = np.flatnonzero(np.hypot(g[4], g[5]) <= cmax + 1e-12)
+        z = np.ascontiguousarray(g[:, rows].T).view(complex).tolist()
+        for i, (a, b, c, d) in zip(rows.tolist(), z):
+            # the row's own entries: Moebius() would divide by sqrt(det) again
+            h = Moebius.__new__(Moebius)
+            h.a, h.b, h.c, h.d = a, b, c, d
+            yield words[i], h
 
 
 def _lattice_coords(w: complex, mu: complex, lam: complex) -> tuple:

@@ -11,8 +11,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .isometry_group import (INFINITY, BudgetExceeded, Horoball, Moebius,
-                             apply_boundary, image_horoball, is_infinity)
+from .isometry_group import (INFINITY, Horoball, Moebius, _abs_c, _compose,
+                             _entries, apply_boundary, image_horoball,
+                             is_infinity, reduced_levels)
 
 
 @dataclass(frozen=True)
@@ -215,56 +216,6 @@ def _cusp_horoballs(params: TorusKnotParams, y0: float) -> list:
     return balls
 
 
-# A row of Moebius maps is held as 8 real arrays (Re a, Im a, ..., Im d).
-# The complex arithmetic is spelled out in the order CPython performs it on
-# scalars, so each row equals what Moebius.compose gives, bit for bit.
-
-def _entries(maps) -> np.ndarray:
-    return np.array([[v for z in (m.a, m.b, m.c, m.d)
-                      for v in (z.real, z.imag)] for m in maps]).T
-
-
-def _mul(x, y):
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _dot(x, y, z, w):
-    """x y + z w."""
-    (pr, pi), (qr, qi) = _mul(x, y), _mul(z, w)
-    return pr + qr, pi + qi
-
-
-def _compose(g, m) -> np.ndarray:
-    """Rows of g . m divided by s = cmath.sqrt(ad - bc), as Moebius.__init__
-    divides them.  det ~ 1 takes the branch of cmath.sqrt for Re(det) > 0
-    and the branch of Smith's division for |Im s| <= |Re s|."""
-    out = [_dot(g[i:i + 2], m[j:j + 2], g[i + 2:i + 4], m[j + 4:j + 6])
-           for i in (0, 4) for j in (0, 2)]  # a, b, c, d
-    (ar, ai), (br, bi) = _mul(out[0], out[3]), _mul(out[1], out[2])
-    zr, zi = ar - br, ai - bi
-    sr = 2.0 * np.sqrt(zr / 8.0 + np.hypot(zr / 8.0, np.abs(zi) / 8.0))
-    si = np.copysign(np.abs(zi) / (2.0 * sr), zi)
-    r = si / sr
-    den = sr + si * r
-    return np.array([v for x, y in out
-                     for v in ((x + y * r) / den, (y - x * r) / den)])
-
-
-def _abs_c(g, m):
-    """|c| of g . m before the division by sqrt(det) ~ 1: a prefilter within
-    a relative 1e-9 of the exact value."""
-    return np.hypot(*_dot(g[4:6], m[0:2], g[6:8], m[4:6]))
-
-
-def _psl_keys(g) -> list:
-    """Moebius.key of each row as 64 bytes: entries rounded to 8 digits,
-    negated where the first nonzero one is negative."""
-    k = np.rint(g.T * 1e8)
-    first = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
-    k = np.ascontiguousarray(k * np.where(first < 0, -1.0, 1.0)[:, None] + 0.0)
-    return k.view(np.dtype((np.void, 64))).ravel().tolist()
-
-
 def enumerate_surface_cords(params: TorusKnotParams, Lmax: float,
                             y0: float = 4.0, max_word_len: int = 8,
                             max_elements: int = 500_000,
@@ -280,8 +231,8 @@ def enumerate_surface_cords(params: TorusKnotParams, Lmax: float,
     each infinity-based family is reported once per source cusp.  A family
     is named by its first word in breadth-first order: shortest first, then
     lexicographic in the sorted letter labels "-1", ..., "-p", "1", ..., "p".
-    Each level of the search is held as arrays: the rows (a, b, c, d), the
-    parent row and the last letter.
+    The words come from ``isometry_group.reduced_levels``, one array
+    frontier per word length, pruned on |c| unless ``prune`` is off.
     Deterministic order: by length, then word, then source cusp, then
     target cusp.
     """
@@ -292,10 +243,8 @@ def enumerate_surface_cords(params: TorusKnotParams, Lmax: float,
         table[f"{i}"] = (fp.h2, fp.shift)
         table[f"-{i}"] = (fp.h2.inverse(), -fp.shift)
     labels = sorted(table)
-    # inverse[k] is the letter that may not follow letter k; the root's
-    # last letter len(labels) has none
-    inverse = np.array([labels.index(lab[1:] if lab.startswith("-")
-                                     else "-" + lab) for lab in labels] + [-1])
+    inverse = [labels.index(lab[1:] if lab.startswith("-") else "-" + lab)
+               for lab in labels]
     letters = _entries([table[lab][0] for lab in labels])
     # B_j = m . {z >= t}, with m = None for the B_j at infinity
     balls = [(None, B.size) if B.is_at_infinity() else
@@ -335,30 +284,10 @@ def enumerate_surface_cords(params: TorusKnotParams, Lmax: float,
                 families[key] = (len(levels) - 1, row, j,
                                  math.log(y0 / size))
 
-    g = _entries([Moebius.identity()])
-    levels.append((None, np.array([len(labels)])))
-    scan(g)
-    seen = set(_psl_keys(g))
-    for _ in range(max_word_len):
-        ok = np.arange(len(labels)) != inverse[levels[-1][1]][:, None]
-        if prune:
-            ok &= _abs_c(g[:, :, None], letters[:, None]) <= cmax * (1 + 1e-9)
-        parent, letter = np.divmod(np.flatnonzero(ok), len(labels))
-        h = _compose(g[:, parent], letters[:, letter])
-        if prune:
-            ok = np.hypot(h[4], h[5]) <= cmax
-            parent, letter, h = parent[ok], letter[ok], h[:, ok]
-        new = []
-        for i, k in enumerate(_psl_keys(h)):
-            if k not in seen:
-                seen.add(k)
-                new.append(i)
-        if len(seen) - 1 > max_elements:  # the identity is not counted
-            raise BudgetExceeded(f"element cap {max_elements}")
-        if not new:
-            break
-        levels.append((parent[new], letter[new]))
-        g = h[:, new]
+    for g, parent, letter in reduced_levels(
+            letters, inverse, cmax if prune else math.inf, max_word_len,
+            max_elements):
+        levels.append((parent, letter))
         scan(g)
 
     base = []

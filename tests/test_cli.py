@@ -28,6 +28,10 @@ def test_run_config_validation():
         RunConfig("index", mesh_size=32).validate()
     with pytest.raises(ConfigError):
         RunConfig("spectrum", out_format="xml").validate()
+    RunConfig("index", height=1.00001).validate()
+    for height in (math.nan, math.inf, -1.0, 0.0):
+        with pytest.raises(ConfigError):
+            RunConfig("index", height=height).validate()
 
 
 def test_verify_suite_subset(capsys):
@@ -112,6 +116,17 @@ def test_torus_bad_max_length_is_config_error(capsys, length):
     code, rep, err = run(capsys, ["torus", "--p", "2", "--q", "3",
                                   "--max-length", length])
     assert code == 2 and rep is None and "cutoff" in err
+
+
+@pytest.mark.parametrize("height", ["nan", "inf", "-1", "0", "0.5"])
+@pytest.mark.parametrize("cmd", [["spectrum"], ["index"],
+                                 ["triangle", "b", "b", "BB"]],
+                         ids=["spectrum", "index", "triangle"])
+def test_bad_height_is_config_error(capsys, cmd, height):
+    # 0.5 is below the embedded height 1 of the figure-eight: the horoballs
+    # overlap
+    code, rep, err = run(capsys, cmd + ["--height", height, "--cutoff", "2"])
+    assert code == 2 and rep is None and "height" in err
 
 
 def test_index_constant_chord(capsys):
