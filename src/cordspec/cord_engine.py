@@ -220,8 +220,9 @@ def check_embedded(rep: GroupPresentation, a0: float) -> None:
 def canonical_classes(rep: GroupPresentation, a0: float, Lmax: float,
                       max_word_len: int = 10) -> list:
     """Deterministic list of (word, canonical double-coset representative)
-    pairs with nondegenerate cord length <= Lmax, sorted by (length, word).
-    A class is named by its ``center_key`` and keeps its first word."""
+    pairs with nondegenerate cord length <= Lmax, sorted by (length rounded
+    to 9 digits, word).  A class is named by its ``center_key`` and keeps
+    its first word."""
     classes = {}
     for word, g in enumerate_elements(rep, max_radius=Lmax, a0=a0,
                                       max_word_len=max_word_len):
@@ -235,14 +236,15 @@ def canonical_classes(rep: GroupPresentation, a0: float, Lmax: float,
         key = center_key(g, rep)
         if key not in classes:
             classes[key] = (word, double_coset_canonical(g, rep))
-    return sorted(classes.values(),
-                  key=lambda wm: (2.0 * math.log(a0 * abs(wm[1].c)), wm[0]))
+    return sorted(classes.values(), key=lambda wm: (
+        round(2.0 * math.log(a0 * abs(wm[1].c)), 9), wm[0]))
 
 
 def enumerate_cords(rep: GroupPresentation, a0: float, Lmax: float,
                     max_word_len: int = 10) -> ActionSpectrum:
     """Action spectrum of the pair: one entry per nontrivial double coset
-    with cord length <= Lmax, sorted by action descending (shortest first).
+    with cord length <= Lmax, shortest first, in the order of
+    ``canonical_classes``.
 
     a0 must be at least the embedded-height threshold of the group.
     """
@@ -253,13 +255,4 @@ def enumerate_cords(rep: GroupPresentation, a0: float, Lmax: float,
         entries.append(SpectrumEntry(
             class_word=word, length=ell, energy=0.5 * ell**2,
             action=-0.5 * ell**2, f0=1.0 / a0, b0=1.0 / a0))
-    entries.sort(key=lambda e: (-e.action, e.class_word))
     return ActionSpectrum(entries, Lmax, a0)
-
-
-def extend_to_tame(cord: Cord) -> tuple:
-    """Ideal endpoints of the bi-infinite geodesic extension of the cord:
-    the two horoball centers."""
-    if cord.length <= 0:
-        raise ValueError("constant cord has no geodesic extension")
-    return cord.centers

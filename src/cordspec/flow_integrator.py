@@ -55,10 +55,6 @@ def _rhs(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def ham_vector_field(s: CotangentState) -> np.ndarray:
-    return _rhs(s.vector())
-
-
 def hamiltonian_gradient(v: np.ndarray) -> np.ndarray:
     """Analytic dH in coordinates (used for frame and form computations)."""
     z = v[2]
@@ -481,48 +477,3 @@ def cusp_metric(a: float) -> np.ndarray:
     """Hyperbolic cusp metric da^2 + e^{-2a}(dx^2 + dy^2) in (a, x, y)."""
     return np.diag([1.0, math.exp(-2 * a), math.exp(-2 * a)])
 
-
-def build_cyl_metric(i: int) -> CylMetric:
-    return CylMetric(i)
-
-
-class CappedMetric:
-    """Smooth capped metric agreeing with the cylindrical adjustment on N_i
-    and with e^{-2a} da^2 + e^{-2a} dx^2 + e^{-2i} dy^2 outside N_{i+1/4};
-    blended by the smooth cutoff on the short transition collar."""
-
-    def __init__(self, level: int):
-        self.level = int(level)
-        self.cyl = CylMetric(level)
-
-    def metric(self, a: float) -> np.ndarray:
-        i = self.level
-        inner = self.cyl.metric(a)
-        e2a = math.exp(-2 * a)
-        outer = np.diag([e2a, e2a, math.exp(-2 * i)])
-        if a <= i:
-            return inner
-        if a >= i + 0.25:
-            return outer
-        w = _tau01((a - i) / 0.25)
-        return w * inner + (1 - w) * outer
-
-    def pullback_polar(self, r: float, m1: float, l1: float, l2: float) -> np.ndarray:
-        """Components of the metric pulled back through the solid-torus polar
-        map (z, x, y) = (1/r, m1 theta/2pi + l1 phi/2pi, l2 phi/2pi), in the
-        (r, theta, phi) coordinate basis.  Valid in the capped regime
-        (a = -log r >= i + 1/4); components stay bounded as r -> 0."""
-        a = -math.log(r)
-        g = self.metric(a)  # diag in (a, x, y)
-        twopi = 2 * math.pi
-        # da = -dr/r; dx = m1 dtheta/2pi + l1 dphi/2pi; dy = l2 dphi/2pi
-        Jac = np.array([
-            [-1.0 / r, 0.0, 0.0],
-            [0.0, m1 / twopi, l1 / twopi],
-            [0.0, 0.0, l2 / twopi],
-        ])
-        return Jac.T @ g @ Jac
-
-
-def build_capped_metric(i: int) -> CappedMetric:
-    return CappedMetric(i)

@@ -169,11 +169,6 @@ def distance_gradient(q1: PointH3, q2: PointH3):
     return g1, g2
 
 
-def busemann(q: PointH3) -> float:
-    """Busemann function of the vertical ray to infinity: -log z."""
-    return -math.log(q.z)
-
-
 def geodesic_point(q: PointH3, v: TangentVec, t: float) -> PointH3:
     """Point at arc length t along the unit-speed geodesic through q with velocity v.
 
@@ -214,18 +209,3 @@ def geodesic_point(q: PointH3, v: TangentVec, t: float) -> PointH3:
     u, zz = wpt.real, wpt.imag
     return PointH3(q.x + u * ux, q.y + u * uy, zz)
 
-
-def geodesic_h2_point(u0: float, z0: float, angle: float, t: float) -> tuple:
-    """Unit-speed geodesic in the upper half-plane from (u0, z0).
-
-    ``angle`` measures the initial tangent from the vertical: tangent
-    direction (sin angle, cos angle).  Returns (u, z) after arc length t.
-    """
-    half = -angle / 2.0
-    ca, sa = math.cos(half), math.sin(half)
-    rz = math.sqrt(z0)
-    ma, mb = rz * ca, rz * sa
-    mc, md = -sa / rz, ca / rz
-    et = math.exp(t)
-    w = complex(mb, ma * et) / complex(md, mc * et)
-    return (u0 + w.real, w.imag)

@@ -226,51 +226,29 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-# A row of Moebius maps is held as 8 real arrays (Re a, Im a, ..., Im d).
-# The complex arithmetic is spelled out in the order CPython performs it on
-# scalars, so each row equals what Moebius.compose gives, bit for bit.
+# A row of Moebius maps is one column (a, b, c, d) of a complex (4, n) array.
 
 def _entries(maps) -> np.ndarray:
-    return np.array([[v for z in (m.a, m.b, m.c, m.d)
-                      for v in (z.real, z.imag)] for m in maps]).T
-
-
-def _mul(x, y):
-    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
-
-
-def _dot(x, y, z, w):
-    """x y + z w."""
-    (pr, pi), (qr, qi) = _mul(x, y), _mul(z, w)
-    return pr + qr, pi + qi
+    return np.array([[m.a, m.b, m.c, m.d] for m in maps], dtype=complex).T
 
 
 def _compose(g, m) -> np.ndarray:
-    """Rows of g . m divided by s = cmath.sqrt(ad - bc), as Moebius.__init__
-    divides them.  det ~ 1 takes the branch of cmath.sqrt for Re(det) > 0
-    and the branch of Smith's division for |Im s| <= |Re s|."""
-    out = [_dot(g[i:i + 2], m[j:j + 2], g[i + 2:i + 4], m[j + 4:j + 6])
-           for i in (0, 4) for j in (0, 2)]  # a, b, c, d
-    (ar, ai), (br, bi) = _mul(out[0], out[3]), _mul(out[1], out[2])
-    zr, zi = ar - br, ai - bi
-    sr = 2.0 * np.sqrt(zr / 8.0 + np.hypot(zr / 8.0, np.abs(zi) / 8.0))
-    si = np.copysign(np.abs(zi) / (2.0 * sr), zi)
-    r = si / sr
-    den = sr + si * r
-    return np.array([v for x, y in out
-                     for v in ((x + y * r) / den, (y - x * r) / den)])
+    """Columns of g . m, divided by sqrt(ad - bc) as Moebius.__init__ does."""
+    h = np.array([g[0] * m[0] + g[1] * m[2], g[0] * m[1] + g[1] * m[3],
+                  g[2] * m[0] + g[3] * m[2], g[2] * m[1] + g[3] * m[3]])
+    return h / np.sqrt(h[0] * h[3] - h[1] * h[2])
 
 
 def _abs_c(g, m):
     """|c| of g . m before the division by sqrt(det) ~ 1: a prefilter within
     a relative 1e-9 of the exact value."""
-    return np.hypot(*_dot(g[4:6], m[0:2], g[6:8], m[4:6]))
+    return np.abs(g[2] * m[0] + g[3] * m[2])
 
 
 def _psl_keys(g) -> list:
     """The PSL key of each row as 64 bytes: entries rounded to 8 digits,
     negated where the first nonzero one is negative, so g and -g agree."""
-    k = np.rint(g.T * 1e8)
+    k = np.rint(np.ascontiguousarray(g.T).view(float) * 1e8)
     first = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
     k = np.ascontiguousarray(k * np.where(first < 0, -1.0, 1.0)[:, None] + 0.0)
     return k.view(np.dtype((np.void, 64))).ravel().tolist()
@@ -294,7 +272,7 @@ def reduced_levels(letters, inverse, cmax: float, max_word_len: int,
         ok &= _abs_c(g[:, :, None], letters[:, None]) <= cmax * (1 + 1e-9)
         parent, letter = np.divmod(np.flatnonzero(ok), k)
         h = _compose(g[:, parent], letters[:, letter])
-        ok = np.hypot(h[4], h[5]) <= cmax
+        ok = np.abs(h[2]) <= cmax
         parent, letter, h = parent[ok], letter[ok], h[:, ok]
         new = []
         for i, key in enumerate(_psl_keys(h)):
@@ -338,9 +316,8 @@ def enumerate_elements(rep: GroupPresentation, max_radius: float,
             continue  # the identity is not yielded
         words = [words[i] + names[j]
                  for i, j in zip(parent.tolist(), letter.tolist())]
-        rows = np.flatnonzero(np.hypot(g[4], g[5]) <= cmax + 1e-12)
-        z = np.ascontiguousarray(g[:, rows].T).view(complex).tolist()
-        for i, (a, b, c, d) in zip(rows.tolist(), z):
+        rows = np.flatnonzero(np.abs(g[2]) <= cmax + 1e-12)
+        for i, (a, b, c, d) in zip(rows.tolist(), g[:, rows].T.tolist()):
             # the row's own entries: Moebius() would divide by sqrt(det) again
             h = Moebius.__new__(Moebius)
             h.a, h.b, h.c, h.d = a, b, c, d

@@ -174,17 +174,6 @@ def face_pairings(params: TorusKnotParams) -> list:
     return out
 
 
-def vertex_cycle_holonomy(params: TorusKnotParams) -> Moebius:
-    """Composition phi_p ... phi_1 around the compact-vertex gluing cycle;
-    a full rotation by 2 pi, i.e. the identity in PSL(2, R)."""
-    pairings = face_pairings(params)
-    p, _ = params.geometric_pq()
-    g = Moebius.identity()
-    for i in range(p):
-        g = pairings[i].h2.compose(g)
-    return g
-
-
 def euler_char(params: TorusKnotParams) -> int:
     """Euler characteristic 2p + q - pq of the capped surface S_t-hat."""
     return 2 * params.p + params.q - params.p * params.q
@@ -233,8 +222,8 @@ def enumerate_surface_cords(params: TorusKnotParams, Lmax: float,
     lexicographic in the sorted letter labels "-1", ..., "-p", "1", ..., "p".
     The words come from ``isometry_group.reduced_levels``, one array
     frontier per word length, pruned on |c| unless ``prune`` is off.
-    Deterministic order: by length, then word, then source cusp, then
-    target cusp.
+    Deterministic order: by length rounded to 9 digits, then word, then
+    source cusp, then target cusp.
     """
     p, _ = params.geometric_pq()
     pairings = face_pairings(params)[:p]
@@ -264,20 +253,19 @@ def enumerate_surface_cords(params: TorusKnotParams, Lmax: float,
         """Register the families first reached by the newest level g."""
         found = []
         for j, (m, t) in enumerate(balls, start=1):
-            r = np.hypot(g[4], g[5]) if m is None else _abs_c(g, m)
+            r = np.abs(g[2]) if m is None else _abs_c(g, m)
             with np.errstate(divide="ignore"):
                 near = 1.0 / (r * r * t)
             rows = np.flatnonzero((near >= lo * (1 - 1e-9))
                                   & (near <= hi * (1 + 1e-9)))
             h = g[:, rows] if m is None else _compose(g[:, rows], m)
-            found += zip(rows.tolist(), [j] * len(rows),
-                         *h[[0, 1, 4, 5]].tolist())
-        for row, j, ar, ai, cr, ci in sorted(found):
-            c = complex(cr, ci)  # diameter and center as image_horoball
+            found += zip(rows.tolist(), [j] * len(rows), *h[[0, 2]].tolist())
+        for row, j, a, c in sorted(found, key=lambda f: f[:2]):
+            # diameter and center as image_horoball
             size = 1.0 / (abs(c) ** 2 * balls[j - 1][1])
             if size < lo or size > hi:
                 continue  # too short, or tangent/overlapping: degenerate
-            x = (complex(ar, ai) / c).real % s_inf
+            x = (a / c).real % s_inf
             key = (round(size, 9), round(min(x, s_inf - x), 8)
                    if x < 1e-8 or s_inf - x < 1e-8 else round(x, 8), j)
             if key not in families:
@@ -299,11 +287,11 @@ def enumerate_surface_cords(params: TorusKnotParams, Lmax: float,
         shift = sum((table[lab][1] for lab in word), 0.0)
         base.append(CordFamily(".".join(reversed(word)) or "e", p, j, ell,
                                shift))
-    base.sort(key=lambda f: (f.length, f.word, f.target_cusp))
     out = []
     for src in range(1, p + 1):  # rotation-equivalent copies per source cusp
         for f in base:
             tgt = (f.target_cusp + src - p - 1) % p + 1
             out.append(CordFamily(f.word, src, tgt, f.length, f.shift))
-    out.sort(key=lambda f: (f.length, f.word, f.source_cusp, f.target_cusp))
+    out.sort(key=lambda f: (round(f.length, 9), f.word, f.source_cusp,
+                            f.target_cusp))
     return out

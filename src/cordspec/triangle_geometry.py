@@ -10,8 +10,8 @@ from dataclasses import dataclass
 
 from .cord_engine import Cord, check_embedded, common_perpendicular
 from .isometry_group import (INFINITY, GroupPresentation, Horoball, Moebius,
-                             apply_boundary, apply_h3, center_key,
-                             image_horoball, is_infinity)
+                             apply_boundary, center_key, image_horoball,
+                             is_infinity)
 
 _TOL = 1e-9
 
@@ -159,40 +159,6 @@ def truncate(tri: IdealTriangle, horoballs) -> TruncatedTriangle:
     area = math.pi - sum(arcs)
     return TruncatedTriangle(tri, balls, tuple(s.length for s in sides),
                              tuple(arcs), area, tuple(sides))
-
-
-def corner_angle_defects(hexagon: TruncatedTriangle) -> list:
-    """Deviation from orthogonality where each geodesic side meets the two
-    adjacent horocyclic arcs: |<side tangent, arc tangent>| at the corner,
-    computed in the frame with that corner's vertex at infinity (where the
-    side is vertical and the horocycle horizontal)."""
-    v = hexagon.triangle.vertices
-    out = []
-    for i in range(3):
-        w = v[i]
-        m = Moebius.identity() if is_infinity(w) else Moebius(0, -1, 1, -w)
-        for j in ((i + 1) % 3, (i + 2) % 3):
-            # edge toward vertex j becomes the vertical line over m(v_j);
-            # tangents are (0,0,1) and a horizontal vector: defect is the
-            # horizontal component of the mapped side tangent
-            side = next(s for s in hexagon.sides
-                        if _touches(s, w) and _touches(s, v[j]))
-            t = 0.0 if _same_point(side.centers[0], w) else 1.0
-            vel = _side_tangent(side, t, m)
-            horiz = math.hypot(vel[0], vel[1])
-            out.append(horiz / max(math.hypot(*vel), 1e-300))
-    return out
-
-
-def _touches(cord: Cord, w) -> bool:
-    return any(_same_point(c, w) for c in cord.centers)
-
-
-def _side_tangent(cord: Cord, t: float, m: Moebius, h: float = 1e-6):
-    t0, t1 = max(t - h, 0.0), min(t + h, 1.0)
-    p0 = apply_h3(m, cord.point(t0)).coords()
-    p1 = apply_h3(m, cord.point(t1)).coords()
-    return (p1 - p0) / (t1 - t0)
 
 
 def _peripheral_translation(rep: GroupPresentation, mcount: int, ncount: int) -> Moebius:

@@ -1,6 +1,6 @@
 """Discrete energy functional on paths with endpoints on horospheres,
-first/second variation with free-boundary shape-operator terms, Jacobi
-fields, Morse index and nullity, and the constant-chord Hessian."""
+first/second variation with free-boundary shape-operator terms, Morse index
+and nullity, and the constant-chord Hessian."""
 
 from __future__ import annotations
 
@@ -231,10 +231,6 @@ def mean_curvature(z0: float) -> float:
     return 0.5 * (d[0] + d[1])
 
 
-def shape_operator_eigenvalues(z0: float) -> tuple:
-    return _shape_operator_diag(PointH3(0.0, 0.0, z0))
-
-
 def index_nullity(H: HessianForm, zero_band: float = None) -> tuple:
     """Counts of negative and near-zero eigenvalues of the generalized
     problem H u = lambda M u.  The zero band defaults to 10/N^2."""
@@ -248,24 +244,6 @@ def index_nullity(H: HessianForm, zero_band: float = None) -> tuple:
 
 def smallest_eigenvalue(H: HessianForm) -> float:
     return float(H.eigenvalues[0])
-
-
-def jacobi_solve(ell: float, V0, dV0):
-    """Sampler for the Jacobi field solving D^2V/dt^2 = l^2 V in a parallel
-    frame: V(t) = V0 cosh(lt) + (dV0/l) sinh(lt), with the l -> 0 limit
-    V0 + t dV0."""
-    V0 = np.asarray(V0, dtype=float)
-    dV0 = np.asarray(dV0, dtype=float)
-
-    if ell < 0:
-        raise ValueError("length must be nonnegative")
-
-    def sample(t):
-        if ell == 0.0:
-            return V0 + t * dV0
-        return V0 * math.cosh(ell * t) + dV0 * math.sinh(ell * t) / ell
-
-    return sample
 
 
 def constant_chord_hessian(a0: float = 1.0, N: int = 128) -> tuple:

@@ -99,6 +99,16 @@ def test_spectrum_missing_input_file(capsys):
     assert "cannot load" in err
 
 
+def test_malformed_holonomy_file_is_config_error(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({
+        "generators": [{"a": 5, "b": [0, 0], "c": [0, 0], "d": [1, 0]}],
+        "relators": [], "meridian": "a", "longitude": "a",
+        "cusp_lattice": [[1, 0], [0, 1]]}))
+    code, rep, err = run(capsys, ["spectrum", "--input", str(bad)])
+    assert code == 2 and rep is None and "cannot load" in err
+
+
 def test_spectrum_bad_cutoff(capsys):
     code, _, _ = run(capsys, ["spectrum", "--cutoff", "-3"])
     assert code == 2
@@ -157,6 +167,14 @@ def test_torus_subcommand(capsys, tmp_path):
     assert rep["rank_table"]["counts"] == {"0": 60, "1": 60}
     rows = (tmp_path / "tk_families.csv").read_text().strip().split("\n")
     assert len(rows) == 61  # header + one per family
+
+
+def test_torus_budget_overrun_is_reported(capsys):
+    # the word search keeps more than its element cap before the cutoff
+    code, rep, err = run(capsys, ["torus", "--p", "2", "--q", "5",
+                                  "--max-length", "12"])
+    assert code == 2 and rep is None
+    assert err.strip() == "error: element cap 500000 exceeded"
 
 
 def test_torus_invalid_params(capsys):

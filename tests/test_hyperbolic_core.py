@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cordspec.hyperbolic_core import (PointH3, TangentVec, busemann,
-                                      christoffel, christoffel_fd, distance,
-                                      distance_gradient, geodesic_h2_point, geodesic_point,
+from cordspec.hyperbolic_core import (PointH3, TangentVec, christoffel,
+                                      christoffel_fd, distance,
+                                      distance_gradient, geodesic_point,
                                       inner, metric_tensor, riemann,
                                       riemann_fd)
 
@@ -91,11 +91,6 @@ def test_triangle_inequality(q1, q2, q3):
     assert distance(q1, q3) <= distance(q1, q2) + distance(q2, q3) + 1e-10
 
 
-def test_busemann_is_minus_log_height():
-    assert busemann(PointH3(5.0, -3.0, 2.0)) == -math.log(2.0)
-    assert busemann(PointH3(0, 0, 1.0)) == 0.0
-
-
 @given(points, st.integers(0, 10**6), st.floats(0.01, 2.0))
 @settings(max_examples=30, deadline=None)
 def test_geodesic_unit_speed_and_distance(q, seed, t):
@@ -124,15 +119,6 @@ def test_geodesic_vertical_case():
     qt = geodesic_point(q, X, 0.7)
     assert abs(qt.x - 1.0) < 1e-14 and abs(qt.y - 2.0) < 1e-14
     assert abs(qt.z - 0.5 * math.exp(-0.7)) < 1e-12
-
-
-def test_geodesic_h2_matches_h3():
-    u, z = geodesic_h2_point(0.3, 1.1, 0.4, 0.8)
-    q3 = geodesic_point(PointH3(0.3, 0.0, 1.1),
-                        TangentVec(PointH3(0.3, 0.0, 1.1),
-                                   (1.1 * math.sin(0.4), 0.0,
-                                    1.1 * math.cos(0.4))), 0.8)
-    assert abs(u - q3.x) < 1e-10 and abs(z - q3.z) < 1e-10
 
 
 def test_invalid_height_rejected():

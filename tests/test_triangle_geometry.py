@@ -42,11 +42,6 @@ def test_truncate_rejects_mismatched_or_overlapping():
                           Horoball(INFINITY, 3.0)))
 
 
-def test_sides_meet_arcs_orthogonally():
-    hexa, _, _ = symmetric_hexagon()
-    assert max(tg.corner_angle_defects(hexa)) < 1e-8
-
-
 def test_area_gauss_bonnet_and_quadrature():
     hexa, _, _ = symmetric_hexagon()
     assert hexa.gauss_bonnet_residual() < 1e-12
