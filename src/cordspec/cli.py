@@ -228,14 +228,18 @@ def run_index(cfg: RunConfig, no_assert=False, constant_chord=False) -> tuple:
     classes = cord_engine.canonical_classes(rep, a0, cfg.cutoff)
 
     rows = []
+    # at one height the Hessian depends on the cord only through its length
+    spectra = {}
     for word, g in classes:
         cord = cord_engine.cord_for_class(g, a0)
-        H = variational.hessian(cord, N=cfg.mesh_size)
-        # both read the one eigen solve that H keeps
-        idx, nul = variational.index_nullity(H)
-        rows.append({"class_word": word, "length": cord.length,
-                     "index": idx, "nullity": nul,
-                     "min_eigenvalue": variational.smallest_eigenvalue(H)})
+        if cord.length not in spectra:
+            H = variational.hessian(cord, N=cfg.mesh_size)
+            # both read the one eigen solve that H keeps
+            spectra[cord.length] = (*variational.index_nullity(H),
+                                    variational.smallest_eigenvalue(H))
+        idx, nul, lam = spectra[cord.length]
+        rows.append({"class_word": word, "length": cord.length, "index": idx,
+                     "nullity": nul, "min_eigenvalue": lam})
     rows.sort(key=lambda r: (round(r["length"], 9), r["class_word"]))
     ok = all(r["index"] == 0 and r["nullity"] == 0 for r in rows)
     report = {"subcommand": "index", "ok": ok or no_assert, "height": a0,

@@ -278,6 +278,10 @@ def form_identity_residuals(s: CotangentState, step: float = 1e-5) -> dict:
 # witness geodesic's miss of Q relative to the height a0 of P.
 GRAD_TOL = 1e-9
 WITNESS_TOL = 1e-8
+# Newton's method on cosh d - 1 stops once a step moves no chart coordinate
+# by more than NEWTON_STEP_TOL, and gives up after NEWTON_MAX_STEPS steps.
+NEWTON_STEP_TOL = 1e-12
+NEWTON_MAX_STEPS = 100
 
 
 def shoot_neumann(B0: Horoball, g: Moebius,
@@ -290,19 +294,26 @@ def shoot_neumann(B0: Horoball, g: Moebius,
     B1 under g, a ball of radius r resting on the center (cx, cy).  The
     unknowns u = (x, y, s, t) place P = (cx + x, cy + y, a0) on dB0, and Q
     on the sphere dB1 by stereographic coordinates from its ideal point:
-    Q = (cx, cy, r) + r n with n = (2s, 2t, 1 - s^2 - t^2) / (1 + s^2 + t^2).
-    That chart covers the whole horosphere.  Every nonconstant cord is
-    transversal with Morse index 0, so the cord is the nondegenerate minimum
-    of d(P, Q), found by BFGS with the closed-form gradient from the start
-    u = ``initial_guess``.
+    Q = (cx, cy, r) + r n with n = (2s, 2t, 1 - s^2 - t^2) / w,
+    w = 1 + s^2 + t^2.  That chart covers the whole horosphere, and in it
+    the distance d(P, Q) is a quartic polynomial,
+
+        cosh d - 1 = F(u) = [w R - 4r (sx + ty) - 4r a0 + 4r^2] / (4 a0 r),
+        R = x^2 + y^2 + a0^2.
+
+    Its critical points solve x w = 2rs, y w = 2rt, s R = 2rx, t R = 2ry,
+    so s (R w - 4r^2) = t (R w - 4r^2) = 0.  A cord needs disjoint
+    horoballs, a0 > 2r, and then R w >= a0^2 > 4r^2: u = 0 is the only
+    critical point, the cord, which the paper shows is nondegenerate (Morse
+    index 0).  It is found by Newton's method on F with the closed-form
+    gradient and Hessian from the start u = ``initial_guess``.
 
     Two checks accept the solve: |grad d| <= GRAD_TOL, and the geodesic that
     leaves P along the normal out of B0 arrives, after the minimal length,
-    within WITNESS_TOL * a0 of Q.  A solve that misses either raises
-    RuntimeError with both residuals.
+    within WITNESS_TOL * a0 of Q.  Horoballs that meet, a Newton step that
+    is singular or leaves the chart, too many steps, or a solve that misses
+    either check raise RuntimeError.
     """
-    from scipy import optimize
-
     from . import cord_engine  # local import to avoid a module cycle
 
     if not B0.is_at_infinity():
@@ -313,33 +324,52 @@ def shoot_neumann(B0: Horoball, g: Moebius,
     B1 = image_horoball(g, B0)
     r = B1.size / 2.0
     cx, cy = B1.center.real, B1.center.imag
+    if not a0 > 2 * r:
+        raise RuntimeError(f"no cord to shoot: the horoballs meet "
+                           f"(a0 = {a0:.17g}, 2r = {2 * r:.17g})")
 
-    def ends(u):
-        x, y, s, t = u.tolist()
+    x, y, s, t = map(float, initial_guess)
+    for _ in range(NEWTON_MAX_STEPS):
+        # gradient g and Hessian [[w I, C], [C^T, R I]] of 2 a0 r F; the
+        # step solves for (ds, dt) on the Schur complement R I - C^T C / w
         w = 1.0 + s * s + t * t
-        return (PointH3(cx + x, cy + y, a0),
-                PointH3(cx + 2 * r * s / w, cy + 2 * r * t / w, 2 * r / w))
+        R = x * x + y * y + a0 * a0
+        if not math.isfinite(w * R):
+            raise RuntimeError(f"shooting did not converge: u = "
+                               f"{(x, y, s, t)} is off the chart")
+        gx, gy = x * w - 2 * r * s, y * w - 2 * r * t
+        gs, gt = s * R - 2 * r * x, t * R - 2 * r * y
+        c11, c12 = 2 * x * s - 2 * r, 2 * x * t
+        c21, c22 = 2 * y * s, 2 * y * t - 2 * r
+        m11 = R - (c11 * c11 + c21 * c21) / w
+        m12 = -(c11 * c12 + c21 * c22) / w
+        m22 = R - (c12 * c12 + c22 * c22) / w
+        bs = (c11 * gx + c21 * gy) / w - gs
+        bt = (c12 * gx + c22 * gy) / w - gt
+        det = m11 * m22 - m12 * m12
+        if not det:
+            raise RuntimeError(f"shooting did not converge: singular "
+                               f"Hessian at u = {(x, y, s, t)}")
+        ds, dt = (m22 * bs - m12 * bt) / det, (m11 * bt - m12 * bs) / det
+        dx = -(gx + c11 * ds + c12 * dt) / w
+        dy = -(gy + c21 * ds + c22 * dt) / w
+        x, y, s, t = x + dx, y + dy, s + ds, t + dt
+        if all(abs(d) <= NEWTON_STEP_TOL for d in (dx, dy, ds, dt)):
+            break
+    else:
+        raise RuntimeError(f"shooting did not converge: {NEWTON_MAX_STEPS} "
+                           f"Newton steps")
 
-    def dist_and_grad(u):
-        P, Q = ends(u)
-        gP, gQ = distance_gradient(P, Q)
-        _, _, s, t = u.tolist()
-        w = 1.0 + s * s + t * t
-        chart = (2 * r / w**2) * np.array([[w - 2 * s * s, -2 * s * t],
-                                           [-2 * s * t, w - 2 * t * t],
-                                           [-2 * s, -2 * t]])
-        return distance(P, Q), np.concatenate([gP[:2], gQ @ chart])
-
-    try:
-        u = optimize.minimize(dist_and_grad,
-                              np.asarray(initial_guess, dtype=float),
-                              jac=True, method="BFGS",
-                              options={"gtol": GRAD_TOL / 10}).x
-        ell, grad = dist_and_grad(u)
-        P, Q = ends(u)
-        land = geodesic_point(P, TangentVec(P, (0.0, 0.0, -a0)), ell)
-    except (ValueError, OverflowError) as e:  # a step left upper half-space
-        raise RuntimeError(f"shooting did not converge: {e}") from e
+    w = 1.0 + s * s + t * t
+    P = PointH3(cx + x, cy + y, a0)
+    Q = PointH3(cx + 2 * r * s / w, cy + 2 * r * t / w, 2 * r / w)
+    gP, gQ = distance_gradient(P, Q)
+    chart = (2 * r / w**2) * np.array([[w - 2 * s * s, -2 * s * t],
+                                       [-2 * s * t, w - 2 * t * t],
+                                       [-2 * s, -2 * t]])
+    grad = np.concatenate([gP[:2], gQ @ chart])
+    ell = distance(P, Q)
+    land = geodesic_point(P, TangentVec(P, (0.0, 0.0, -a0)), ell)
     miss = float(np.max(np.abs(land.coords() - Q.coords()))) / a0
     gnorm = float(np.max(np.abs(grad)))
     if not (gnorm <= GRAD_TOL and miss <= WITNESS_TOL):

@@ -232,3 +232,20 @@ def test_cli_import_defers_scipy_solvers():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_shooting_loads_no_scipy_optimize():
+    # Newton's method on cosh d - 1 replaced scipy's BFGS in the shooter
+    code = ("import sys\n"
+            "from importlib import resources\n"
+            "from cordspec import flow_integrator as fl\n"
+            "from cordspec.isometry_group import (INFINITY, Horoball,\n"
+            "                                     load_presentation)\n"
+            "rep = load_presentation(resources.files('cordspec')\n"
+            "                        .joinpath('data/figure_eight.json'))\n"
+            "fl.shoot_neumann(Horoball(INFINITY, 1.2), rep.evaluate('ab'))\n"
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"

@@ -7,7 +7,7 @@ import pytest
 
 from cordspec import cord_engine as ce
 from cordspec.hyperbolic_core import distance
-from cordspec.isometry_group import (INFINITY, Horoball, Moebius, center_key,
+from cordspec.isometry_group import (INFINITY, Horoball, center_key,
                                      image_horoball)
 
 A0 = 1.2

@@ -151,14 +151,21 @@ def test_shooting_rejects_bad_input():
                                   [0.0, 0.0, 1e200, 0.0],
                                   [1e200, 0.0, 0.0, 0.0]])
 def test_unconverged_shot_raises_runtime_error(fig8, monkeypatch, stop):
-    # a minimizer that stops at the start, or at a point off the charts
-    from scipy import optimize
+    # an iteration allowed no step stops at the start; a start at 1e200
+    # overflows the chart's w = 1 + s^2 + t^2 or R = x^2 + y^2 + a0^2
+    if stop == [0.05, -0.05, 0.05, -0.05]:
+        monkeypatch.setattr(fl, "NEWTON_MAX_STEPS", 0)
+    with pytest.raises(RuntimeError, match="did not converge"):
+        fl.shoot_neumann(Horoball(INFINITY, 1.2), fig8.evaluate("ab"),
+                         initial_guess=stop)
 
-    monkeypatch.setattr(optimize, "minimize", lambda fun, x0, **kw:
-                        optimize.OptimizeResult(x=np.array(stop)))
-    with np.errstate(invalid="ignore"), \
-            pytest.raises(RuntimeError, match="did not converge"):
-        fl.shoot_neumann(Horoball(INFINITY, 1.2), fig8.evaluate("ab"))
+
+@pytest.mark.parametrize("a0", [0.9, 1.0])
+def test_meeting_horoballs_have_no_cord(fig8, a0):
+    # "b" moves B(inf, a0) to a ball of diameter 1/a0: it overlaps B0 at
+    # a0 = 0.9 and touches it at a0 = 1
+    with pytest.raises(RuntimeError):
+        fl.shoot_neumann(Horoball(INFINITY, a0), fig8.evaluate("b"))
 
 
 def test_long_classes_shoot_to_the_closed_form(fig8):

@@ -4,8 +4,8 @@ import pytest
 
 from cordspec import torus_knot_h2r as tk
 from cordspec.cli import run_torus
-from cordspec.isometry_group import (INFINITY, BudgetExceeded, Moebius,
-                                     apply_boundary, classify, image_horoball)
+from cordspec.isometry_group import (BudgetExceeded, Moebius, apply_boundary,
+                                     classify, image_horoball)
 
 
 def test_params_validation():

@@ -5,7 +5,7 @@ from scipy.integrate import quad
 
 from cordspec import cord_engine as ce
 from cordspec import triangle_geometry as tg
-from cordspec.isometry_group import INFINITY, Horoball, Moebius, apply_boundary
+from cordspec.isometry_group import INFINITY, Horoball, Moebius
 
 
 def symmetric_hexagon():
