@@ -23,7 +23,7 @@ def rand_states(n, seed=3):
 def test_hamiltonian_and_vector_field():
     s = CotangentState(PointH3(0, 0, 2.0), np.array([0.0, 0.0, 0.5]))
     assert fl.hamiltonian(s) == pytest.approx(0.5)
-    X = fl._rhs(s.vector())
+    X = np.array(fl._rhs(*s.vector()))
     # dq/dt = z^2 p, dp_z/dt = -z |p|^2
     assert np.allclose(X[:3], [0, 0, 2.0])
     assert np.allclose(X[3:], [0, 0, -0.5])
@@ -57,6 +57,13 @@ def test_unconverged_midpoint_step_raises():
                        np.array([0.4, -0.3, 0.5])).vector()
     with pytest.raises(RuntimeError, match="residual"):
         fl._midpoint_step(v, 1e-3, max_iter=2)
+    with pytest.raises(RuntimeError, match="in 0 iterations"):
+        fl._midpoint_step(v, 1e-3, max_iter=0)
+    # NaN compares false against the tolerance, so it must not converge
+    nan_state = CotangentState(PointH3(0.3, -0.2, 1.1),
+                               np.array([0.4, math.nan, 0.5])).vector()
+    with pytest.raises(RuntimeError, match="did not converge"):
+        fl._midpoint_step(nan_state, 1e-3)
     # a step far too large for the fixed-point iteration to contract
     s0 = CotangentState(PointH3(0.0, 0.0, 1.0), np.array([0.0, 0.0, 1.0]))
     with pytest.raises(RuntimeError, match="did not converge"):
@@ -197,8 +204,19 @@ def test_cutoff_function_shape():
 def test_cyl_metric_area_normalization(level):
     cyl = fl.CylMetric(level)
     from scipy.integrate import quad
-    val, _ = quad(cyl.A, 0, level, limit=200)
-    assert val == pytest.approx(level, abs=1e-9)
+
+    # adaptive quadrature with a break point where the formula of A
+    # changes; quad's default tolerances (1.49e-8) would leave 5e-13
+    def oracle(lo, hi):
+        cut = [level - fl.EPS0] if lo < level - fl.EPS0 < hi else None
+        return quad(cyl.A, lo, hi, points=cut, limit=200, epsabs=1e-13,
+                    epsrel=1e-13)[0]
+
+    assert oracle(0, level) == pytest.approx(level, abs=1e-13)
+    for a in (level - 0.5, level - 0.3, level - fl.EPS0, level - 0.01,
+              level - 1e-3, level):
+        rho = math.exp(-(level - 0.5) - oracle(level - 0.5, a))
+        assert cyl.rho(a) == pytest.approx(rho, rel=1e-13)
     # profile interpolates 1 (cusp regime) to 0 (cylinder regime)
     assert cyl.A(level - 0.5) == pytest.approx(1.0)
     assert cyl.A(level) == 0.0
