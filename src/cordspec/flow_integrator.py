@@ -128,11 +128,11 @@ def integrate_flow(s0: CotangentState, T: float, dt: float,
     if dt <= 0:
         raise ValueError("dt must be positive")
     n = int(round(abs(T) / dt))
-    h = dt if T >= 0 else -dt
+    sgn = 1.0 if T >= 0 else -1.0
     v = tuple(map(float, s0.vector()))
     path = [v] if return_path else None
     for _ in range(n):
-        v = _midpoint_step(v, h)
+        v = _midpoint_step(v, sgn * dt)
         if v[2] <= 1e-12:
             raise FloatingPointError("step underflow: trajectory hit z -> 0")
         if return_path:
