@@ -5,6 +5,7 @@ enumeration for cusped-manifold holonomy groups."""
 from __future__ import annotations
 
 import cmath
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -239,41 +240,42 @@ def _compose(g, m) -> np.ndarray:
     return h / np.sqrt(h[0] * h[3] - h[1] * h[2])
 
 
-def _abs_c(g, m):
-    """|c| of g . m before the division by sqrt(det) ~ 1: a prefilter within
-    a relative 1e-9 of the exact value."""
-    return np.abs(g[2] * m[0] + g[3] * m[2])
-
-
 def _psl_keys(g) -> list:
-    """The PSL key of each row as 64 bytes: entries rounded to 8 digits,
+    """The PSL key of each row as bytes: entries rounded to 8 digits,
     negated where the first nonzero one is negative, so g and -g agree."""
     k = np.rint(np.ascontiguousarray(g.T).view(float) * 1e8)
     first = k[np.arange(len(k)), np.argmax(k != 0, axis=1)]
     k = np.ascontiguousarray(k * np.where(first < 0, -1.0, 1.0)[:, None] + 0.0)
-    return k.view(np.dtype((np.void, 64))).ravel().tolist()
+    return k.view(np.dtype((np.void, k.strides[0]))).ravel().tolist()
 
 
-def reduced_levels(letters, inverse, cmax: float, max_word_len: int,
-                   max_elements: int):
+def reduced_levels(letters, inverse, keep, max_elements: int,
+                   max_word_len: int | None = None):
     """Breadth-first search over the freely reduced words in the k rows of
-    ``letters``, where letter inverse[i] cancels letter i.  Yields each level
-    as (rows, parent row, last letter), the identity first (parent None).
-    A word is kept if |c| <= cmax and its element was not kept before, in
-    PSL.  Stops after ``max_word_len`` letters or at a level that adds
-    nothing; raises BudgetExceeded past ``max_elements`` kept elements."""
+    ``letters`` (complex, or real for a group in PSL(2, R)), where letter
+    inverse[i] cancels letter i.  Yields each level as (rows, parent row,
+    last letter), the identity first (parent None).
+    A word is kept if ``keep(h)``, a bool mask over the child columns h,
+    accepts its element and that element was not kept before, in PSL.
+    Stops at a level that adds nothing, or after ``max_word_len`` letters
+    when one is given; raises BudgetExceeded past ``max_elements`` kept
+    elements."""
     k = letters.shape[1]
     inverse = np.append(inverse, -1)  # the identity's last letter k has none
-    g, last = _entries([Moebius.identity()]), np.array([k])
+    g = np.array([[1], [0], [0], [1]], dtype=letters.dtype)  # the identity
+    last = np.array([k])
     yield g, None, last
     seen = set(_psl_keys(g))
-    for _ in range(max_word_len):
-        ok = np.arange(k) != inverse[last][:, None]
-        ok &= _abs_c(g[:, :, None], letters[:, None]) <= cmax * (1 + 1e-9)
+    for _ in (itertools.count() if max_word_len is None
+              else range(max_word_len)):
+        # every row times every letter; keep runs on blocks of columns
+        # small enough to stay in cache
+        h = _compose(g[:, :, None], letters[:, None]).reshape(4, -1)
+        ok = np.concatenate([keep(h[:, i:i + 4096])
+                             for i in range(0, h.shape[1], 4096)])
+        ok &= (np.arange(k) != inverse[last][:, None]).ravel()
         parent, letter = np.divmod(np.flatnonzero(ok), k)
-        h = _compose(g[:, parent], letters[:, letter])
-        ok = np.abs(h[2]) <= cmax
-        parent, letter, h = parent[ok], letter[ok], h[:, ok]
+        h = h[:, ok]
         new = []
         for i, key in enumerate(_psl_keys(h)):
             if key not in seen:
@@ -311,7 +313,8 @@ def enumerate_elements(rep: GroupPresentation, max_radius: float,
     for g, parent, letter in reduced_levels(
             _entries(table[ch] for ch in names),
             [names.index(ch.swapcase()) for ch in names],
-            margin * cmax, max_word_len, max_elements):
+            lambda h: np.abs(h[2]) <= margin * cmax, max_elements,
+            max_word_len):
         if parent is None:
             continue  # the identity is not yielded
         words = [words[i] + names[j]

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .isometry_group import (INFINITY, Horoball, Moebius, _abs_c, _compose,
+from .isometry_group import (INFINITY, Horoball, Moebius, _compose,
                              _entries, apply_boundary, image_horoball,
                              is_infinity, reduced_levels)
 
@@ -205,23 +205,49 @@ def _cusp_horoballs(params: TorusKnotParams, y0: float) -> list:
     return balls
 
 
+def _reaches(x, y, u0, u1, t):
+    """Whether the point (x, y) of the half-plane, or one of the geodesic
+    arcs from it down to the real points u0 and u1 (NaN: no arc), reaches
+    height t.  An arc to u does when |x - u| >= t + sqrt(t^2 - y^2): then
+    its circle has radius >= t and its apex lies on the arc."""
+    reach = t + np.sqrt(np.maximum(t * t - y * y, 0.0))
+    return (y >= t) | (np.fmax(np.abs(x - u0), np.abs(x - u1)) >= reach)
+
+
 def enumerate_surface_cords(params: TorusKnotParams, Lmax: float,
-                            y0: float = 4.0, max_word_len: int = 8,
-                            max_elements: int = 500_000,
-                            prune: bool = True) -> list:
+                            y0: float = 4.0,
+                            max_elements: int = 500_000) -> list:
     """Cord families with length <= Lmax, one per double coset of the cusp
     stabilizers in the surface holonomy group <phi_1, ..., phi_p>.
 
     Families are enumerated from the cusp at infinity: deduplicate image
     horodisks g . B_j by (diameter, center modulo the infinity-cusp
-    translation); every cord between horodisk lifts of the boundary
+    translation s); every cord between horodisk lifts of the boundary
     horocycles arises this way, and the p source cusps contribute
     rotation-equivalent copies (tau_1 conjugation permutes the phi_i), so
-    each infinity-based family is reported once per source cusp.  A family
-    is named by its first word in breadth-first order: shortest first, then
-    lexicographic in the sorted letter labels "-1", ..., "-p", "1", ..., "p".
-    The words come from ``isometry_group.reduced_levels``, one array
-    frontier per word length, pruned on |c| unless ``prune`` is off.
+    each infinity-based family is reported once per source cusp.
+
+    The search is a breadth-first walk over the tiles gP of the polygon P
+    of ``build_polygon`` in the half-plane, whose ideal vertex v_2p is at
+    infinity; the tile gP borders the tiles g phi_i^{+-1} P, the children
+    of g in ``isometry_group.reduced_levels``.  The walk stops at a level
+    that adds nothing; BudgetExceeded past ``max_elements`` tiles is only a
+    safety stop.
+    - Tile rule: gP is kept when its height, the greatest of its vertex
+      heights and of the tops of its edge arcs (infinite when g sends a
+      vertex to infinity), reaches y0 e^{-Lmax}, and the x-range of its
+      finite vertex images meets P's period window [x_L, x_L + s].  The
+      tiles that meet the convex strip {x_L <= x <= x_L + s,
+      y >= y0 e^{-Lmax}} are edge-connected, and all are kept.  Each family
+      horodisk has a translate whose top lies in the strip, in a tile at
+      the disk's cusp, because y0 lies above P's finite part and so each
+      B_j lies in the tiles at its cusp (ValueError otherwise).
+    - Stabilizer rule: a family is a double coset, so a row whose last
+      letter is phi_j^{+-1} is not scanned for B_j; its parent was.
+    - Naming rule: a family's word is the first word in breadth-first order
+      (shortest first, then lexicographic in the sorted letter labels "-1",
+      ..., "-p", "1", ..., "p") among the words whose tiles are kept, and
+      its ``shift`` follows that word.
     Deterministic order: by length rounded to 9 digits, then word, then
     source cusp, then target cusp.
     """
@@ -234,49 +260,70 @@ def enumerate_surface_cords(params: TorusKnotParams, Lmax: float,
     labels = sorted(table)
     inverse = [labels.index(lab[1:] if lab.startswith("-") else "-" + lab)
                for lab in labels]
-    letters = _entries([table[lab][0] for lab in labels])
+    # the cusp j whose phi_j each letter is, and 0 for the identity
+    cusp = np.array([abs(int(lab)) for lab in labels] + [0])
+    # PSL(2, R) up to rounding: the walk runs on the real parts
+    letters = _entries([table[lab][0] for lab in labels]).real
     # B_j = m . {z >= t}, with m = None for the B_j at infinity
     balls = [(None, B.size) if B.is_at_infinity() else
-             (_entries([Moebius(B.center, -1, 1, 0)])[:, 0], 1.0 / B.size)
+             (_entries([Moebius(B.center, -1, 1, 0)])[:, 0].real, 1.0 / B.size)
              for B in _cusp_horoballs(params, y0)]
     phi = pairings[p - 1].h2  # a parabolic fixing infinity
     if abs(phi.c) > 1e-12:
         raise ValueError("not upper triangular")
     s_inf = abs((phi.b / phi.d).real)  # translation length at infinity
+    # P's vertices in the half-plane: interior v_1, v_3, ..., v_2p-1 at
+    # (vx, vy), ideal v_2, v_4, ..., v_2p-2 at e on R, and v_2p at infinity
+    verts = [_to_halfplane(build_polygon(p).vertex(k))
+             for k in range(1, 2 * p)]
+    vx, vy = (np.array([[getattr(z, part)] for z in verts[0::2]])
+              for part in ("real", "imag"))
+    e = np.array([[z.real] for z in verts[1::2]])
+    u = np.vstack([[np.nan], e, [np.nan]])  # the edges at v_2p are vertical
+    if _reaches(vx, vy, u[:-1], u[1:], y0).any():
+        raise ValueError("y0 must lie above the polygon's finite part")
+    x_lo, x_hi = vx.min() - 1e-9, vx.max() + 1e-9  # the period window
     dmin = math.exp(-Lmax) * y0  # emission bound on image diameters
-    cmax = 8.0 / math.sqrt(dmin * y0)
     lo, hi = dmin - 1e-12, y0 * (1.0 - 1e-12)
+
+    def keep(h):
+        """The tile rule on the tiles of the child columns h."""
+        a, b, c, d = h[:, None]
+        at_inf = np.abs(c[0]) < 1e-9  # g fixes infinity: infinite height
+        with np.errstate(divide="ignore", invalid="ignore"):
+            v2p = np.where(at_inf, np.nan, a / c)
+        # ideal vertex images in the order v_2p, v_2, ..., v_2p-2, v_2p
+        u = np.vstack([v2p, (a * e + b) / (c * e + d), v2p])
+        den = (c * vx + d) ** 2 + (c * vy) ** 2
+        x = ((a * vx + b) * (c * vx + d) + a * c * vy * vy) / den
+        high = _reaches(x, vy / den, u[:-1], u[1:], dmin * (1 - 1e-9))
+        return ((at_inf | high.any(axis=0))
+                & (np.fmin(x.min(axis=0), np.fmin.reduce(u)) <= x_hi)
+                & (np.fmax(x.max(axis=0), np.fmax.reduce(u)) >= x_lo))
+
     families = {}
     levels = []  # per word length: (parent row, last letter)
-
-    def scan(g):
-        """Register the families first reached by the newest level g."""
+    for g, parent, letter in reduced_levels(letters, inverse, keep,
+                                            max_elements):
+        levels.append((parent, letter))
         found = []
         for j, (m, t) in enumerate(balls, start=1):
-            r = np.abs(g[2]) if m is None else _abs_c(g, m)
+            h = g if m is None else _compose(g, m)
             with np.errstate(divide="ignore"):
-                near = 1.0 / (r * r * t)
-            rows = np.flatnonzero((near >= lo * (1 - 1e-9))
-                                  & (near <= hi * (1 + 1e-9)))
-            h = g[:, rows] if m is None else _compose(g[:, rows], m)
-            found += zip(rows.tolist(), [j] * len(rows), *h[[0, 2]].tolist())
+                size = 1.0 / (np.abs(h[2]) ** 2 * t)
+            rows = np.flatnonzero((size >= lo) & (size <= hi)
+                                  & (cusp[letter] != j))
+            found += zip(rows.tolist(), [j] * len(rows),
+                         *h[:, rows][[0, 2]].tolist())
         for row, j, a, c in sorted(found, key=lambda f: f[:2]):
             # diameter and center as image_horoball
             size = 1.0 / (abs(c) ** 2 * balls[j - 1][1])
-            if size < lo or size > hi:
-                continue  # too short, or tangent/overlapping: degenerate
-            x = (a / c).real % s_inf
+            x = (a / c) % s_inf
             key = (round(size, 9), round(min(x, s_inf - x), 8)
                    if x < 1e-8 or s_inf - x < 1e-8 else round(x, 8), j)
             if key not in families:
                 families[key] = (len(levels) - 1, row, j,
                                  math.log(y0 / size))
-
-    for g, parent, letter in reduced_levels(
-            letters, inverse, cmax if prune else math.inf, max_word_len,
-            max_elements):
-        levels.append((parent, letter))
-        scan(g)
 
     base = []
     for depth, row, j, ell in families.values():

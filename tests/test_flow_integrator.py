@@ -6,7 +6,7 @@ import pytest
 from cordspec import cord_engine as ce
 from cordspec import flow_integrator as fl
 from cordspec.flow_integrator import CotangentState
-from cordspec.hyperbolic_core import PointH3
+from cordspec.hyperbolic_core import PointH3, christoffel
 from cordspec.isometry_group import INFINITY, Horoball, image_horoball
 
 
@@ -35,6 +35,24 @@ def test_flow_conserves_h_long_time():
     s1, path = fl.integrate_flow(s0, T=10.0, dt=1e-3, return_path=True)
     assert abs(fl.hamiltonian(s1) - h0) < 1e-5
     assert fl.geodesic_residual(path, 1e-3) < 1e-6
+
+
+def test_geodesic_residual_matches_pointwise_loop():
+    # reference: Gamma evaluated at each point of the path, one at a time
+    s0 = CotangentState(PointH3(0.3, -0.2, 1.1), np.array([0.4, -0.3, 0.5]))
+    _, path = fl.integrate_flow(s0, T=0.5, dt=1e-3, return_path=True)
+    qs, dt, worst = path[:, :3], 1e-3, 0.0
+    for k in range(1, len(qs) - 1):
+        qd = (qs[k + 1] - qs[k - 1]) / (2 * dt)
+        qdd = (qs[k + 1] - 2 * qs[k] + qs[k - 1]) / dt**2
+        gam = christoffel(PointH3.from_coords(qs[k]))
+        worst = max(worst, np.abs(qdd + np.einsum("aij,i,j->a", gam, qd,
+                                                  qd)).max())
+    # only the Gamma term, of size O(1) on this path, is rounded in another
+    # order (1/z applied last): a few ulps of it
+    assert abs(fl.geodesic_residual(path, dt) - worst) <= 8 * np.finfo(
+        float).eps
+    assert fl.geodesic_residual(path[:2], dt) == 0.0
 
 
 def test_flow_reproduces_vertical_solution():

@@ -1,11 +1,13 @@
 import math
 
+import numpy as np
 import pytest
 
 from cordspec import torus_knot_h2r as tk
 from cordspec.cli import run_torus
-from cordspec.isometry_group import (BudgetExceeded, Moebius, apply_boundary,
-                                     classify, image_horoball)
+from cordspec.isometry_group import (BudgetExceeded, Moebius, _compose,
+                                     _entries, apply_boundary, classify,
+                                     image_horoball, reduced_levels)
 
 
 def test_params_validation():
@@ -138,24 +140,67 @@ def test_family_words_compose_to_their_lengths(q, n_base):
         assert math.log(y0 / gb.size) == pytest.approx(f.length, abs=1e-12)
 
 
-def test_enumerate_cords_pruning_lossless():
+def _disk_key(j, size, center, s):
+    """A horodisk by target cusp, diameter to 7 digits and center mod s."""
+    return j, f"{size:.7g}", round(center % s, 6) % round(s, 6)
+
+
+def test_tile_walk_finds_every_family_of_an_unpruned_search():
+    # oracle: every freely reduced word of up to 7 letters, none pruned,
+    # carries each cusp horodisk B_j to the horodisks of the families
     params = tk.TorusKnotParams(2, 3)
-    a = tk.enumerate_surface_cords(params, 5.0, max_word_len=6, prune=True)
-    b = tk.enumerate_surface_cords(params, 5.0, max_word_len=6, prune=False)
-    key = lambda f: (f.word, f.source_cusp, f.target_cusp,
-                     round(f.length, 9), f.shift)
-    assert sorted(map(key, a)) == sorted(map(key, b))
+    p, _ = params.geometric_pq()
+    y0, Lmax = 4.0, 5.0
+    pairings = tk.face_pairings(params)[:p]
+    balls = tk._cusp_horoballs(params, y0)
+    phi = pairings[p - 1].h2
+    s = abs((phi.b / phi.d).real)
+    gens = [fp.h2 for fp in pairings] + [fp.h2.inverse() for fp in pairings]
+    inverse = list(range(p, 2 * p)) + list(range(p))
+    want = set()
+    for g, _, _ in reduced_levels(_entries(gens), inverse,
+                                  lambda h: np.ones(h.shape[1], bool),
+                                  10**6, max_word_len=7):
+        for j, B in enumerate(balls, start=1):
+            if B.is_at_infinity():
+                a, c, t = g[0], g[2], B.size
+            else:
+                h = _compose(g, _entries([Moebius(B.center, -1, 1, 0)]))
+                a, c, t = h[0], h[2], 1.0 / B.size
+            with np.errstate(divide="ignore", invalid="ignore"):
+                size, center = 1.0 / (np.abs(c) ** 2 * t), (a / c).real
+            for i in np.flatnonzero((size >= y0 * math.exp(-Lmax))
+                                    & (size < y0 * (1 - 1e-9))):
+                want.add(_disk_key(j, size[i], center[i], s))
+    got = []
+    for f in tk.enumerate_surface_cords(params, Lmax, y0=y0):
+        if f.source_cusp != p:
+            continue
+        g = Moebius.identity()
+        for lab in ([] if f.word == "e" else f.word.split(".")):
+            h2 = pairings[abs(int(lab)) - 1].h2
+            g = g.compose(h2.inverse() if lab.startswith("-") else h2)
+        gb = image_horoball(g, balls[f.target_cusp - 1])
+        got.append(_disk_key(f.target_cusp, gb.size, gb.center.real, s))
+    assert len(got) == len(set(got)) == 8
+    assert set(got) == want
 
 
-def test_enumerate_cords_independent_of_word_cap():
-    # the families up to L = 6 are all reached by words of length <= 8
+@pytest.mark.parametrize("p,q,ambient,Lmax,n", [(2, 5, "s3", 8.0, 2420),
+                                                (3, 4, "s3", 8.0, 432),
+                                                (5, 2, "s2xs1", 7.0, 860)])
+def test_family_count_goldens(p, q, ambient, Lmax, n):
+    params = tk.TorusKnotParams(p, q, ambient)
+    assert len(tk.enumerate_surface_cords(params, Lmax)) == n
+
+
+def test_y0_must_lie_above_the_polygon():
+    # the (5, 2) polygon's finite part has its vertices at height 1 and the
+    # tops of its outer edge arcs at 1.0515: y0 = 1.05 lies between
     params = tk.TorusKnotParams(2, 5)
-    key = lambda f: (f.word, f.source_cusp, f.target_cusp, f.length, f.shift)
-    sets = [list(map(key, tk.enumerate_surface_cords(params, 6.0,
-                                                     max_word_len=cap)))
-            for cap in (8, 10, 12)]
-    assert len(sets[0]) == 320
-    assert sets[0] == sets[1] == sets[2]
+    with pytest.raises(ValueError):
+        tk.enumerate_surface_cords(params, 2.0, y0=1.05)
+    tk.enumerate_surface_cords(params, 2.0, y0=1.06)
 
 
 def test_equal_lengths_ordered_by_word():
@@ -184,8 +229,7 @@ def test_enumerate_cords_empty_below_shortest():
 def test_enumerate_cords_budget_cap():
     params = tk.TorusKnotParams(2, 5)
     with pytest.raises(BudgetExceeded):
-        tk.enumerate_surface_cords(params, 12.0, max_word_len=12,
-                                   max_elements=200)
+        tk.enumerate_surface_cords(params, 12.0, max_elements=200)
 
 
 def test_rank_table_pairs_degrees():
