@@ -255,8 +255,9 @@ def reduced_levels(letters, inverse, keep, max_elements: int,
     ``letters`` (complex, or real for a group in PSL(2, R)), where letter
     inverse[i] cancels letter i.  Yields each level as (rows, parent row,
     last letter), the identity first (parent None).
-    A word is kept if ``keep(h)``, a bool mask over the child columns h,
-    accepts its element and that element was not kept before, in PSL.
+    A word is kept if ``keep(h)``, a bool mask over the child columns h
+    (called on blocks of them), accepts its element and that element was
+    not kept before, in PSL.
     Stops at a level that adds nothing, or after ``max_word_len`` letters
     when one is given; raises BudgetExceeded past ``max_elements`` kept
     elements."""

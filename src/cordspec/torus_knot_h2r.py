@@ -276,9 +276,8 @@ def enumerate_surface_cords(params: TorusKnotParams, Lmax: float,
     # (vx, vy), ideal v_2, v_4, ..., v_2p-2 at e on R, and v_2p at infinity
     verts = [_to_halfplane(build_polygon(p).vertex(k))
              for k in range(1, 2 * p)]
-    vx, vy = (np.array([[getattr(z, part)] for z in verts[0::2]])
-              for part in ("real", "imag"))
-    e = np.array([[z.real] for z in verts[1::2]])
+    inner = np.array(verts[0::2])[:, None]
+    vx, vy, e = inner.real, inner.imag, np.array(verts[1::2]).real[:, None]
     u = np.vstack([[np.nan], e, [np.nan]])  # the edges at v_2p are vertical
     if _reaches(vx, vy, u[:-1], u[1:], y0).any():
         raise ValueError("y0 must lie above the polygon's finite part")
