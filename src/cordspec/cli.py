@@ -305,44 +305,45 @@ def _build_parser():
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(s):
-        s.add_argument("--input", default=None, help="holonomy JSON file")
+        s.add_argument("--input", default=None, dest="input_path",
+                       metavar="FILE", help="holonomy JSON file")
         s.add_argument("--height", default="auto")
         s.add_argument("--cutoff", type=float, default=4.0)
-        s.add_argument("--mesh-size", type=int, default=256)
-        s.add_argument("--format", choices=("json", "csv"), default="json")
-        s.add_argument("--out", default=None)
+        return s
 
     v = sub.add_parser("verify")
     v.add_argument("--suite", action="append", default=None)
     v.add_argument("--tol", type=float, default=None)
-    common(v)
-    common(sub.add_parser("spectrum"))
-    ix = sub.add_parser("index")
+    sp = common(sub.add_parser("spectrum"))
+    sp.add_argument("--format", choices=("json", "csv"), default="json",
+                    dest="out_format")
+    sp.add_argument("--out", default=None)
+    ix = common(sub.add_parser("index"))
     ix.add_argument("--no-assert", action="store_true")
     ix.add_argument("--constant-chord", action="store_true")
-    common(ix)
+    ix.add_argument("--mesh-size", type=int, default=256)
     t = sub.add_parser("torus")
     t.add_argument("--p", type=int, required=True)
     t.add_argument("--q", type=int, required=True)
     t.add_argument("--ambient", choices=("s3", "s2xs1"), default="s3")
     t.add_argument("--max-length", type=float, default=8.0)
     t.add_argument("--out", default=None)
-    tr = sub.add_parser("triangle")
+    tr = common(sub.add_parser("triangle"))
     tr.add_argument("classes", nargs=3)
-    common(tr)
+    tr.add_argument("--out", default=None)
     return ap
 
 
 def _cfg_from_args(args) -> RunConfig:
-    height = args.height
-    if height != "auto":
+    """RunConfig from the subcommand's options; other fields default."""
+    kw = {k: v for k, v in vars(args).items()
+          if k in RunConfig.__dataclass_fields__}
+    if kw.get("height", "auto") != "auto":
         try:
-            height = float(height)
+            kw["height"] = float(kw["height"])
         except ValueError:
             raise ConfigError("height must be a number or 'auto'")
-    return RunConfig(subcommand=args.cmd, input_path=args.input,
-                     height=height, cutoff=args.cutoff,
-                     mesh_size=args.mesh_size, out_format=args.format)
+    return RunConfig(subcommand=args.cmd, **kw)
 
 
 def main(argv=None) -> int:
@@ -354,7 +355,6 @@ def main(argv=None) -> int:
         else:
             cfg = _cfg_from_args(args)
             if args.cmd == "verify":
-                cfg.tol = args.tol
                 code, report = run_verify(cfg, suites=args.suite)
             elif args.cmd == "spectrum":
                 code, report = run_spectrum(cfg, out_path=args.out)

@@ -13,9 +13,9 @@ import numpy as np
 
 from .hyperbolic_core import PointH3
 from .isometry_group import (INFINITY, GroupPresentation, Horoball, Moebius,
-                             apply_boundary, apply_h3, center_key,
+                             _lattice_coords, apply_boundary, apply_h3,
                              double_coset_canonical, enumerate_elements,
-                             image_horoball)
+                             image_horoball, spell)
 
 
 @dataclass
@@ -124,9 +124,9 @@ def cord_length(g: Moebius, a0: float) -> float:
 
 
 def cord_for_class(g: Moebius, a0: float) -> Cord:
-    """The geodesic cord from {z >= a0} to its image horoball under g."""
-    B0 = Horoball(INFINITY, a0)
-    return common_perpendicular(B0, image_horoball(g, B0))
+    """The cord from {z >= a0} to its image under g, vertical over a/c."""
+    ell = cord_length(g, a0)  # raises for a peripheral g, where c = 0
+    return Cord.from_vertical(a0, g.a / g.c, ell)
 
 
 def z_profile_residual(cord: Cord, samples: int = 100) -> float:
@@ -190,15 +190,13 @@ def max_embedded_height(rep: GroupPresentation) -> float:
 
     Returns the default 1.0 when the group has no element with c != 0.
     """
-    best = None
-    for _, g in enumerate_elements(rep, max_radius=12.0,
-                                   max_word_len=_EMBEDDED_SEARCH_WORD_LEN):
-        ac = abs(g.c)
-        if ac > 1e-9 and (best is None or ac < best):
-            best = ac
-    if best is None:
-        return 1.0
-    return 1.0 / best
+    cmax = math.exp(12.0 / 2.0)  # cords of length up to 12 at a0 = 1
+    best = math.inf
+    for g, _, _ in enumerate_elements(rep, max_radius=12.0,
+                                      max_word_len=_EMBEDDED_SEARCH_WORD_LEN):
+        ac = np.abs(g[2])
+        best = np.min(ac[(ac <= cmax + 1e-12) & (ac > 1e-9)], initial=best)
+    return 1.0 if best == math.inf else 1.0 / float(best)
 
 
 def embedded_height(rep: GroupPresentation) -> float:
@@ -221,21 +219,31 @@ def canonical_classes(rep: GroupPresentation, a0: float, Lmax: float,
                       max_word_len: int = 10) -> list:
     """Deterministic list of (word, canonical double-coset representative)
     pairs with nondegenerate cord length <= Lmax, sorted by (length rounded
-    to 9 digits, word).  A class is named by its ``center_key`` and keeps
-    its first word."""
-    classes = {}
-    for word, g in enumerate_elements(rep, max_radius=Lmax, a0=a0,
-                                      max_word_len=max_word_len):
-        ac = abs(g.c)
-        if ac < 1e-9:
-            continue  # peripheral
-        if a0 * ac <= 1.0 + 1e-9:
-            continue  # tangent horoballs: degenerate class, rejected
-        if 2.0 * math.log(a0 * ac) > Lmax + 1e-12:
-            continue
-        key = center_key(g, rep)
-        if key not in classes:
-            classes[key] = (word, double_coset_canonical(g, rep))
+    to 9 digits, word).  A class is named by its ``center_key`` on the level
+    arrays and keeps its first element; only kept classes get a word."""
+    cmax = math.exp(Lmax / 2.0) / a0
+    mu, lam = rep.lattice_vectors()
+    names = sorted(rep.letters())
+    levels, classes = [], {}
+    for g, parent, letter in enumerate_elements(rep, max_radius=Lmax, a0=a0,
+                                                max_word_len=max_word_len):
+        levels.append((parent, letter))
+        ac = np.abs(g[2])
+        # not peripheral, not tangent (a degenerate class), within the cutoff
+        rows = np.flatnonzero((ac <= cmax + 1e-12) & (ac >= 1e-9)
+                              & (a0 * ac > 1.0 + 1e-9))
+        rows = rows[2.0 * np.log(a0 * ac[rows]) <= Lmax + 1e-12]
+        s, t = _lattice_coords(g[0, rows] / g[2, rows], mu, lam)
+        keys, first = np.unique(np.round(s, 6) % 1.0
+                                + 1j * (np.round(t, 6) % 1.0),
+                                return_index=True)
+        for key, row in zip(keys.tolist(), rows[first].tolist()):
+            if key not in classes:
+                # the row's own entries: Moebius() would divide by sqrt(det)
+                h = Moebius.__new__(Moebius)
+                h.a, h.b, h.c, h.d = g[:, row].tolist()
+                word = "".join(spell(levels, len(levels) - 1, row, names))
+                classes[key] = (word, double_coset_canonical(h, rep))
     return sorted(classes.values(), key=lambda wm: (
         round(2.0 * math.log(a0 * abs(wm[1].c)), 9), wm[0]))
 

@@ -290,50 +290,47 @@ def reduced_levels(letters, inverse, keep, max_elements: int,
         yield g, parent[new], last
 
 
+def spell(levels, depth: int, row: int, names) -> list:
+    """Row ``row`` of level ``depth`` as a list of ``names``, traced back
+    through ``levels``, each level's (parent row, last letter) from
+    ``reduced_levels``, the identity's level first."""
+    word = []
+    for parent, letter in levels[depth:0:-1]:
+        word.append(names[letter[row]])
+        row = parent[row]
+    return word[::-1]
+
+
 def enumerate_elements(rep: GroupPresentation, max_radius: float,
                        a0: float = 1.0, max_word_len: int = 14,
                        max_elements: int = 2_000_000,
                        margin: float = 8.0):
-    """Breadth-first enumeration of freely reduced words in the generators.
+    """The levels of ``reduced_levels`` over the freely reduced words in
+    the generators, letter i being ``sorted(rep.letters())[i]``.
 
-    Yields (word, element) pairs for the elements whose lower-left entry
-    satisfies a0*|c| <= e^{max_radius/2} (so the associated cord length is at
-    most max_radius) together with the peripheral elements (c = 0)
-    encountered.  Prefixes whose |c| exceeds the emission bound by ``margin``
-    are pruned: for discrete cusped holonomies |c| grows along reduced words
-    once it leaves the peripheral subgroup, and the margin absorbs the
-    non-monotone steps (validated against an unpruned oracle in the tests).
-    Each element is kept once, under its first word; ``max_elements``
-    bounds the elements kept, yielded or not.
-    Deterministic order: by word length, then lexicographic word.
+    A cord of length at most max_radius has a0*|c| <= e^{max_radius/2}.
+    Prefixes whose |c| exceeds that bound by ``margin`` are pruned: for
+    discrete cusped holonomies |c| grows along reduced words once it leaves
+    the peripheral subgroup, and the margin absorbs the non-monotone steps
+    (validated against an unpruned oracle in the tests).  The rows within
+    the margin stay in their level; callers select their own.
     """
     cmax = math.exp(max_radius / 2.0) / a0
     table = rep.letters()
     names = sorted(table)
-    words = [""]
-    for g, parent, letter in reduced_levels(
-            _entries(table[ch] for ch in names),
-            [names.index(ch.swapcase()) for ch in names],
-            lambda h: np.abs(h[2]) <= margin * cmax, max_elements,
-            max_word_len):
-        if parent is None:
-            continue  # the identity is not yielded
-        words = [words[i] + names[j]
-                 for i, j in zip(parent.tolist(), letter.tolist())]
-        rows = np.flatnonzero(np.abs(g[2]) <= cmax + 1e-12)
-        for i, (a, b, c, d) in zip(rows.tolist(), g[:, rows].T.tolist()):
-            # the row's own entries: Moebius() would divide by sqrt(det) again
-            h = Moebius.__new__(Moebius)
-            h.a, h.b, h.c, h.d = a, b, c, d
-            yield words[i], h
+    return reduced_levels(_entries(table[ch] for ch in names),
+                          [names.index(ch.swapcase()) for ch in names],
+                          lambda h: np.abs(h[2]) <= margin * cmax,
+                          max_elements, max_word_len)
 
 
-def _lattice_coords(w: complex, mu: complex, lam: complex) -> tuple:
-    """(s, t) in [0, 1)^2 with w = s mu + t lam modulo Z mu + Z lam."""
+def _lattice_coords(w, mu: complex, lam: complex) -> tuple:
+    """(s, t) in [0, 1)^2 with w = s mu + t lam modulo Z mu + Z lam, for a
+    complex w or an array of them."""
     det = mu.real * lam.imag - lam.real * mu.imag
     s = (w.real * lam.imag - lam.real * w.imag) / det
     t = (mu.real * w.imag - w.real * mu.imag) / det
-    return s - math.floor(s + 1e-9), t - math.floor(t + 1e-9)
+    return s - (s + 1e-9) // 1.0, t - (t + 1e-9) // 1.0
 
 
 def center_key(g: Moebius, rep: GroupPresentation) -> tuple:

@@ -13,7 +13,7 @@ import numpy as np
 
 from .isometry_group import (INFINITY, Horoball, Moebius, _compose,
                              _entries, apply_boundary, image_horoball,
-                             is_infinity, reduced_levels)
+                             is_infinity, reduced_levels, spell)
 
 
 @dataclass(frozen=True)
@@ -326,13 +326,9 @@ def enumerate_surface_cords(params: TorusKnotParams, Lmax: float,
 
     base = []
     for depth, row, j, ell in families.values():
-        word = []
-        for parent, letter in levels[depth:0:-1]:
-            word.append(labels[letter[row]])
-            row = parent[row]
+        word = spell(levels, depth, row, labels)
         shift = sum((table[lab][1] for lab in word), 0.0)
-        base.append(CordFamily(".".join(reversed(word)) or "e", p, j, ell,
-                               shift))
+        base.append(CordFamily(".".join(word) or "e", p, j, ell, shift))
     out = []
     for src in range(1, p + 1):  # rotation-equivalent copies per source cusp
         for f in base:

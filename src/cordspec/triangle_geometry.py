@@ -161,22 +161,18 @@ def truncate(tri: IdealTriangle, horoballs) -> TruncatedTriangle:
                              tuple(arcs), area, tuple(sides))
 
 
-def _peripheral_translation(rep: GroupPresentation, mcount: int, ncount: int) -> Moebius:
-    mu, lam = rep.lattice_vectors()
-    return Moebius(1, mcount * mu + ncount * lam, 0, 1)
-
-
-def triangle_catalog(rep: GroupPresentation, a0: float, Lmax: float, words,
-                     search_range: int = 6) -> list:
+def triangle_catalog(rep: GroupPresentation, a0: float, Lmax: float,
+                     words) -> list:
     """Candidate geodesic triangles for a composable class triple.
 
     A chained horoball triple (B0, h1 B0, h2 B0) with B0 = {z >= a0}
     realizes the classes (e0, e1, e2) when h1 = e0 and h2 = e0 p e1 for a
-    peripheral translation p, provided h2 lies in the double coset of the
-    inverse of e2.  The finite search runs p over the cusp lattice box
-    [-search_range, search_range]^2 and keeps triples whose three cords are
-    nondegenerate and no longer than the cutoff Lmax.  Purely geometric
-    candidates; no holomorphic-triangle count is implied.
+    peripheral translation p by v, provided h2 lies in the double coset of
+    the inverse of e2.  As c(e0 p e1) = c0 c1 (v + a1/c1 + d0/c0), the
+    search runs v = m mu + n lam (m, then n ascending) over the disk of
+    radius e^{Lmax/2} / (a0 |c0| |c1|) about -(a1/c1 + d0/c0) and keeps
+    triples whose three cords are nondegenerate and no longer than Lmax.
+    Purely geometric candidates; no holomorphic-triangle count is implied.
 
     a0 must be at least the embedded-height threshold of the group.
     """
@@ -188,24 +184,27 @@ def triangle_catalog(rep: GroupPresentation, a0: float, Lmax: float, words,
     target = center_key(e2.inverse(), rep)
     B0 = Horoball(INFINITY, a0)
     cmax = math.exp(Lmax / 2.0) / a0
-    found = []
-    seen = set()
-    for mi in range(-search_range, search_range + 1):
-        for ni in range(-search_range, search_range + 1):
-            p = _peripheral_translation(rep, mi, ni)
-            h2 = e0.compose(p).compose(e1)
+    mu, lam = rep.lattice_vectors()
+    center = -(e1.a / e1.c + e0.d / e0.c)
+    radius = cmax / abs(e0.c * e1.c) * (1.0 + 1e-9)
+    # |m| <= |v| |lam / det| and |n| <= |v| |mu / det| for v = m mu + n lam
+    det = mu.real * lam.imag - lam.real * mu.imag
+    reach = abs(center) + radius  # the largest |v| in the disk
+    mmax, nmax = int(reach * abs(lam / det)), int(reach * abs(mu / det))
+    B1 = image_horoball(e0, B0)
+    found = []  # distinct v give distinct h2 B0, since e1 is not peripheral
+    for mi in range(-mmax, mmax + 1):
+        for ni in range(-nmax, nmax + 1):
+            v = mi * mu + ni * lam
+            if abs(v - center) > radius:
+                continue
+            h2 = e0.compose(Moebius(1, v, 0, 1)).compose(e1)
             ac = abs(h2.c)
             if ac < 1e-9 or ac > cmax or a0 * ac <= 1.0 + 1e-9:
                 continue
             if center_key(h2, rep) != target:
                 continue
-            B1 = image_horoball(e0, B0)
             B2 = image_horoball(h2, B0)
-            key = (round(B2.center.real, 8), round(B2.center.imag, 8),
-                   round(B2.size, 10))
-            if key in seen:
-                continue
-            seen.add(key)
             tri = IdealTriangle((INFINITY, B1.center, B2.center))
             try:
                 hexagon = truncate(tri, (B0, B1, B2))
@@ -214,6 +213,6 @@ def triangle_catalog(rep: GroupPresentation, a0: float, Lmax: float, words,
             found.append(hexagon)
     if not found:
         raise ValueError(
-            "classes are not composable within the peripheral search range")
+            "classes are not composable within the length cutoff")
     found.sort(key=lambda h: (sum(h.side_lengths), h.side_lengths))
     return found

@@ -231,11 +231,10 @@ def mean_curvature(z0: float) -> float:
     return 0.5 * (d[0] + d[1])
 
 
-def index_nullity(H: HessianForm, zero_band: float = None) -> tuple:
+def index_nullity(H: HessianForm) -> tuple:
     """Counts of negative and near-zero eigenvalues of the generalized
-    problem H u = lambda M u.  The zero band defaults to 10/N^2."""
-    if zero_band is None:
-        zero_band = 10.0 / H.N**2
+    problem H u = lambda M u; near zero means within 10/N^2."""
+    zero_band = 10.0 / H.N**2
     vals = H.eigenvalues
     index = int(np.sum(vals < -zero_band))
     nullity = int(np.sum(np.abs(vals) <= zero_band))

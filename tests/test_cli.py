@@ -139,6 +139,20 @@ def test_bad_height_is_config_error(capsys, cmd, height):
     assert code == 2 and rep is None and "height" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["index", "--cutoff", "1", "--out", "x.json"],
+    ["verify", "--cutoff", "2"],
+])
+def test_unread_options_are_usage_errors(capsys, tmp_path, monkeypatch,
+                                         argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as e:
+        cli.main(argv)
+    assert e.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
+
+
 def test_index_constant_chord(capsys):
     code, rep, _ = run(capsys, ["index", "--constant-chord",
                                 "--mesh-size", "128"])

@@ -115,6 +115,16 @@ def test_z_profile_residual_and_bounds(fig8):
         assert fmax <= f0 * math.cosh(ell) + abs(b0) * math.sinh(ell) + 1e-10
 
 
+def test_cord_for_class_has_the_closed_form_length(fig8):
+    # index prints the lengths that spectrum prints, to the last bit
+    a0 = ce.embedded_height(fig8)
+    for _, g in ce.canonical_classes(fig8, a0, 2.5):
+        cord = ce.cord_for_class(g, a0)
+        assert cord.length == ce.cord_length(g, a0)
+        assert cord.start.z == a0
+        assert complex(cord.end.x, cord.end.y) == g.a / g.c
+
+
 def test_max_embedded_height(fig8):
     assert ce.max_embedded_height(fig8) == pytest.approx(1.0, abs=1e-9)
 

@@ -10,7 +10,7 @@ from cordspec.isometry_group import (INFINITY, BudgetExceeded, Horoball,
                                      apply_boundary, apply_h3, center_key,
                                      classify, double_coset_canonical,
                                      enumerate_elements, image_horoball,
-                                     is_infinity, verify_presentation)
+                                     is_infinity, spell, verify_presentation)
 
 finite = st.floats(-4, 4, allow_nan=False)
 cplx = st.builds(complex, finite, finite)
@@ -173,17 +173,34 @@ def psl_invariant(g):
                  for v in (z.real, z.imag))
 
 
+def flat_elements(rep, max_radius, a0=1.0, **kw):
+    """(word, element) for the elements of the levels of
+    ``enumerate_elements`` with a0 |c| <= e^{max_radius/2}, the identity
+    left out, in the search's order."""
+    cmax = math.exp(max_radius / 2.0) / a0
+    names = sorted(rep.letters())
+    levels, out = [], []
+    for g, parent, letter in enumerate_elements(rep, max_radius, a0, **kw):
+        levels.append((parent, letter))
+        if parent is None:
+            continue
+        for row in np.flatnonzero(np.abs(g[2]) <= cmax + 1e-12).tolist():
+            word = "".join(spell(levels, len(levels) - 1, row, names))
+            out.append((word, Moebius(*g[:, row].tolist())))
+    return out
+
+
 def test_enumeration_yields_distinct_elements(fig8):
-    els = [g for _, g in enumerate_elements(fig8, max_radius=3.0,
-                                            max_word_len=10)]
+    els = [g for _, g in flat_elements(fig8, max_radius=3.0,
+                                       max_word_len=10)]
     assert len({psl_invariant(g) for g in els}) == len(els)
     assert min(abs(g.c) for g in els if abs(g.c) > 1e-9) == pytest.approx(1.0)
 
 
 def test_enumeration_pruning_is_lossless(fig8):
-    pruned = enumerate_elements(fig8, max_radius=2.0, max_word_len=7)
-    unpruned = enumerate_elements(fig8, max_radius=2.0, max_word_len=7,
-                                  margin=1e9)
+    pruned = flat_elements(fig8, max_radius=2.0, max_word_len=7)
+    unpruned = flat_elements(fig8, max_radius=2.0, max_word_len=7,
+                             margin=1e9)
     assert ({psl_invariant(g) for _, g in pruned}
             == {psl_invariant(g) for _, g in unpruned})
 
@@ -195,7 +212,7 @@ def test_enumeration_budget_cap(fig8):
 
 
 def test_enumeration_words_are_reduced_and_match(fig8):
-    for word, g in enumerate_elements(fig8, max_radius=2.0, max_word_len=6):
+    for word, g in flat_elements(fig8, max_radius=2.0, max_word_len=6):
         assert word and all(
             word[i] != word[i + 1].swapcase() or word[i] == word[i + 1]
             for i in range(len(word) - 1))

@@ -5,7 +5,8 @@ from scipy.integrate import quad
 
 from cordspec import cord_engine as ce
 from cordspec import triangle_geometry as tg
-from cordspec.isometry_group import INFINITY, Horoball, Moebius
+from cordspec.isometry_group import (INFINITY, Horoball, Moebius, center_key,
+                                     image_horoball)
 
 
 def symmetric_hexagon():
@@ -128,9 +129,44 @@ def test_triangle_catalog_rejections(fig8):
     with pytest.raises(ValueError):  # peripheral class: constant chord
         tg.triangle_catalog(fig8, 1.2, 4.0, ("a", "b", "B"))
     with pytest.raises(ValueError):  # not composable at this cutoff
-        tg.triangle_catalog(fig8, 1.2, 4.0, ("b", "b", "b"), search_range=2)
+        tg.triangle_catalog(fig8, 1.2, 4.0, ("b", "b", "b"))
     with pytest.raises(ValueError, match="embedded threshold"):
         tg.triangle_catalog(fig8, 0.5, 4.0, ("b", "b", "BB"))
+
+
+def box_search_centers(rep, a0, Lmax, words, box=25):
+    """(center, size) of each third horoball h2 B0 of the chained triples,
+    h2 = e0 p e1 with p run over the translations m mu + n lam, |m|, |n| <=
+    box, whose cord is nondegenerate, no longer than Lmax and in the class
+    of e2^-1."""
+    e0, e1, e2 = (rep.evaluate(w) for w in words)
+    target = center_key(e2.inverse(), rep)
+    mu, lam = rep.lattice_vectors()
+    cmax = math.exp(Lmax / 2.0) / a0
+    out = set()
+    for m in range(-box, box + 1):
+        for n in range(-box, box + 1):
+            h2 = e0.compose(Moebius(1, m * mu + n * lam, 0, 1)).compose(e1)
+            ac = abs(h2.c)
+            if ac <= cmax and a0 * ac > 1.0 + 1e-9 \
+                    and center_key(h2, rep) == target:
+                B2 = image_horoball(h2, Horoball(INFINITY, a0))
+                out.add((round(B2.center.real, 8), round(B2.center.imag, 8),
+                         round(B2.size, 10)))
+    return out
+
+
+@pytest.mark.parametrize("words", [("b", "b", "BB"), ("b", "ab", "BB"),
+                                   ("b", "b", "BaaaaaaaB")])
+def test_triangle_catalog_equals_box_search(fig8, words):
+    # at a0 = 1.2 and L = 6 the disk of translations has radius 16.7, well
+    # inside the box of +-25; the last triple needs the translation by -7 mu
+    catalog = tg.triangle_catalog(fig8, 1.2, 6.0, words)
+    centers = [(round(h.horoballs[2].center.real, 8),
+                round(h.horoballs[2].center.imag, 8),
+                round(h.horoballs[2].size, 10)) for h in catalog]
+    assert len(set(centers)) == len(centers)
+    assert set(centers) == box_search_centers(fig8, 1.2, 6.0, words)
 
 
 def test_triangle_catalog_conjugation_invariant(fig8):
