@@ -107,25 +107,49 @@ class HessianForm:
     ell: float
     N: int
 
+    @property
+    def zero_band(self) -> float:
+        """Half-width 10/N^2 of the band of eigenvalues counted as null."""
+        return 10.0 / self.N**2
+
     @cached_property
-    def eigenvalues(self) -> np.ndarray:
-        """Sorted eigenvalues of the generalized problem H u = lambda M u:
-        per component, those of the tridiagonal M^{-1/2} H M^{-1/2}.  Equal
-        components (the direct route) are solved once and counted twice."""
-        from scipy.linalg import eigh_tridiagonal
-
+    def _sturm(self) -> tuple:
+        """Per distinct component, the tridiagonal T = M^{-1/2} H M^{-1/2}
+        as float lists (diagonal, squared off-diagonal with a leading 0),
+        its pivot guard and its multiplicity.  Equal components (the direct
+        route) are stored once and counted twice."""
         m = self.mass
-
-        def solve(d, e):
-            return eigh_tridiagonal(d / m, e / np.sqrt(m[:-1] * m[1:]),
-                                    eigvals_only=True)
-
-        first = solve(self.diag[0], self.off[0])
         if np.array_equal(*self.diag) and np.array_equal(*self.off):
-            second = first
+            comps = [(0, 2)]
         else:
-            second = solve(self.diag[1], self.off[1])
-        return np.sort(np.concatenate([first, second]))
+            comps = [(0, 1), (1, 1)]
+        out = []
+        for c, mult in comps:
+            e2 = self.off[c] ** 2 / (m[:-1] * m[1:])
+            # dstebz's pivmin: the least |pivot| that keeps e^2/pivot finite
+            pivmin = np.finfo(float).tiny * max(1.0, float(e2.max()))
+            out.append(((self.diag[c] / m).tolist(), [0.0, *e2.tolist()],
+                        pivmin, mult))
+        return tuple(out)
+
+    def count_below(self, x: float) -> int:
+        """Number of eigenvalues of H u = lambda M u below x: the negative
+        pivots of the LDL^T factorization of T - xI (Sylvester's law of
+        inertia), summed over the components.  A pivot within pivmin of
+        zero is set to -pivmin, as in LAPACK's dstebz."""
+        x = float(x)  # a numpy scalar would slow every step of the loop
+        total = 0
+        for d, e2, pivmin, mult in self._sturm:
+            n = 0
+            q = 1.0
+            for a, b in zip(d, e2):
+                q = a - x - b / q
+                if q < pivmin:
+                    n += 1
+                    if q > -pivmin:
+                        q = -pivmin
+            total += mult * n
+        return total
 
 
 def hessian(cord: Cord, N: int = 256, route: str = "direct",
@@ -233,16 +257,38 @@ def mean_curvature(z0: float) -> float:
 
 def index_nullity(H: HessianForm) -> tuple:
     """Counts of negative and near-zero eigenvalues of the generalized
-    problem H u = lambda M u; near zero means within 10/N^2."""
-    zero_band = 10.0 / H.N**2
-    vals = H.eigenvalues
-    index = int(np.sum(vals < -zero_band))
-    nullity = int(np.sum(np.abs(vals) <= zero_band))
-    return index, nullity
+    problem H u = lambda M u: below -band, and within [-band, band], for
+    the band 10/N^2."""
+    band = H.zero_band
+    below = H.count_below(-band)
+    return below, H.count_below(np.nextafter(band, np.inf)) - below
 
 
 def smallest_eigenvalue(H: HessianForm) -> float:
-    return float(H.eigenvalues[0])
+    """Least eigenvalue of H u = lambda M u by bisection on the Sturm count,
+    to adjacent floats (Barth, Martin & Wilkinson, Numer. Math. 9, 1967).
+
+    The bracket runs from -band, or the Gershgorin bound of T when some
+    eigenvalue lies below -band, up to the Rayleigh quotient of the
+    constant field, the least over the components."""
+    lo = -H.zero_band
+    if H.count_below(lo) > 0:
+        lo = min(min(a - math.sqrt(l) - math.sqrt(r)
+                     for a, l, r in zip(d, e2, e2[1:] + [0.0]))
+                 for d, e2, _, _ in H._sturm)
+    hi = float(np.min(H.diag.sum(axis=1) + 2.0 * H.off.sum(axis=1))
+               / H.mass.sum())
+    if H.count_below(hi) < 1:
+        raise ArithmeticError(
+            f"no eigenvalue below the Rayleigh quotient {hi!r}")
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if H.count_below(mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
 
 
 def constant_chord_hessian(a0: float = 1.0, N: int = 128) -> tuple:
@@ -258,13 +304,14 @@ def constant_chord_hessian(a0: float = 1.0, N: int = 128) -> tuple:
     No equation or endpoint row mixes the coordinates c = 0, 1, 2, so the
     system is block diagonal with one block per coordinate over the unknowns
     (dq_c, dp_c).  Its singular values are the union of the blocks', and the
-    rank is counted against one tolerance over all of them.
+    rank is counted against one tolerance over all of them.  The x and y
+    blocks are the same matrix, so it is factored once and counted twice.
     """
     h = 1.0 / N
     n = N + 1
     k = np.arange(N)
-    blocks = []
-    for c in range(3):
+
+    def block(fixed):
         # unknowns: dq_c at nodes 0..N, then dp_c at nodes 0..N
         L = np.zeros((2 * n, 2 * n))
         # (dq_{k+1} - dq_k)/h - a0^2 (dp_k + dp_{k+1})/2 = 0
@@ -275,13 +322,15 @@ def constant_chord_hessian(a0: float = 1.0, N: int = 128) -> tuple:
         # (dp_{k+1} - dp_k)/h = 0
         L[N + k, n + k + 1] = 1.0 / h
         L[N + k, n + k] = -1.0 / h
-        # boundary: dq_z = 0 at both ends; dp_x = dp_y = 0 at both ends
-        fixed = 0 if c == 2 else n
+        # boundary: the fixed unknown vanishes at both ends
         L[2 * N, fixed] = 1.0
         L[2 * N + 1, fixed + N] = 1.0
-        blocks.append((L.shape, np.linalg.svd(L, compute_uv=False)))
-    tol = 1e-8 * max(sv[0] for _, sv in blocks)
-    rank = sum(int(np.sum(sv > tol)) for _, sv in blocks)
-    kernel_dim = sum(cols for (_, cols), _ in blocks) - rank
-    cokernel_dim = sum(rows for (rows, _), _ in blocks) - rank
+        return L.shape, np.linalg.svd(L, compute_uv=False)
+
+    # dp_x = dp_y = 0 at both ends (fixed = n, twice); dq_z = 0 (fixed = 0)
+    blocks = [(2, *block(n)), (1, *block(0))]  # (multiplicity, shape, sv)
+    tol = 1e-8 * max(sv[0] for _, _, sv in blocks)
+    rank = sum(m * int(np.sum(sv > tol)) for m, _, sv in blocks)
+    kernel_dim = sum(m * cols for m, (_, cols), _ in blocks) - rank
+    cokernel_dim = sum(m * rows for m, (rows, _), _ in blocks) - rank
     return kernel_dim, cokernel_dim

@@ -77,22 +77,41 @@ def test_band_eigenvalues_match_dense_generalized_solve(kwargs):
     from scipy.linalg import block_diag, eigh
 
     H0 = va.hessian(vertical_cord(2.5), N=128, **kwargs)
-    # the direct route gives equal components, which are solved once; a
-    # rescaled second component makes the two problems differ
+    # the direct route gives equal components, which are counted once and
+    # doubled; a rescaled second component makes the two problems differ
     H1 = va.HessianForm(H0.diag * [[1.0], [1.5]], H0.off * [[1.0], [0.5]],
                         H0.mass, H0.ell, H0.N)
     assert not np.array_equal(*H1.diag)
+    zero_band = 10.0 / 128**2
     for H in (H0, H1):
         # the dense 2(N+1)-square form and mass, one block per component
         A = block_diag(*(np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
                          for d, e in zip(H.diag, H.off)))
         M = np.diag(np.tile(H.mass, 2))
         dense = eigh(A, M, eigvals_only=True)
-        np.testing.assert_allclose(H.eigenvalues, dense, rtol=1e-10)
-        zero_band = 10.0 / 128**2
+        # the Sturm count at the band edges and inside every 16th gap; the
+        # gaps start at the second, since equal components give pairs
+        gaps = 0.5 * (dense[:-1] + dense[1:])[1::16]
+        for x in (-zero_band, zero_band, *gaps):
+            assert H.count_below(x) == int(np.sum(dense < x)), x
         assert va.index_nullity(H) == (int(np.sum(dense < -zero_band)),
                                        int(np.sum(np.abs(dense) <= zero_band)))
         assert va.smallest_eigenvalue(H) == pytest.approx(dense[0], rel=1e-10)
+
+
+@pytest.mark.parametrize("length", [1.0, 2.5, 4.0])
+def test_negative_smallest_eigenvalue_matches_dense_solve(length):
+    # with the curvature sign flipped and no boundary terms the index is
+    # positive, so the bisection starts from the Gershgorin bound
+    from scipy.linalg import eigh
+
+    H = va.hessian(vertical_cord(length), N=64, curvature_sign=-1.0,
+                   include_boundary=False)
+    d, e = H.diag[0], H.off[0]
+    A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
+    dense = eigh(A, np.diag(H.mass), eigvals_only=True)
+    assert dense[0] < 0 and va.index_nullity(H)[0] > 0
+    assert va.smallest_eigenvalue(H) == pytest.approx(dense[0], rel=1e-10)
 
 
 def test_hessian_routes_agree():
