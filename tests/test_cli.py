@@ -236,6 +236,42 @@ def test_module_entry_point():
     assert json.loads(out.stdout)["ok"] is True
 
 
+def test_cli_import_defers_scipy_solvers():
+    # the command-line module imports no scipy
+    code = ("import sys, cordspec.cli; "
+            "print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_flow_process_loads_no_scipy():
+    # every verify suite, the flow integrator and the Newton shooter run in
+    # scalar floats and numpy, as the benchmark's flow process does
+    code = ("import sys\n"
+            "from importlib import resources\n"
+            "from cordspec import cli, flow_integrator as fl\n"
+            "from cordspec.hyperbolic_core import PointH3\n"
+            "from cordspec.isometry_group import (INFINITY, Horoball,\n"
+            "                                     load_presentation)\n"
+            "code, _ = cli.run_verify(cli.RunConfig('verify'))\n"
+            "assert code == cli.EXIT_OK\n"
+            "fl.integrate_flow(fl.CotangentState(PointH3(0.3, -0.2, 1.1),\n"
+            "                                    [0.4, -0.3, 0.5]),\n"
+            "                  T=2.0, dt=1e-3)\n"
+            "rep = load_presentation(resources.files('cordspec')\n"
+            "                        .joinpath('data/figure_eight.json'))\n"
+            "fl.shoot_neumann(Horoball(INFINITY, 1.2), rep.evaluate('ab'))\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m == 'scipy' or m.startswith('scipy.')))")
+    out = subprocess.run([sys.executable, "-c", code], env=_src_env(),
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_commands_run_without_scipy():
     # scipy is needed only by the tests: with every scipy import made to
     # raise, each command runs, as do the flow integrator and the shooter
