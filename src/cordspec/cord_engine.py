@@ -151,6 +151,10 @@ class SpectrumEntry:
     b0: float
 
 
+_ENTRY_JSON = ('  {\n   "class_word": %s,\n   "length": %r,\n   "energy": %r,'
+               '\n   "action": %r,\n   "f0": %r,\n   "b0": %r\n  }')
+
+
 @dataclass
 class ActionSpectrum:
     entries: list
@@ -161,11 +165,17 @@ class ActionSpectrum:
         return [e.length for e in self.entries]
 
     def to_json(self) -> str:
-        return json.dumps({
-            "cutoff": self.cutoff,
-            "horoball_height": self.horoball_height,
-            "entries": [e.__dict__ for e in self.entries],
-        }, indent=1)
+        """``json.dumps`` of {cutoff, horoball_height, entries} with
+        indent=1, byte for byte, without its pure-Python indenting encoder:
+        each entry fills a fixed template, its finite floats written by
+        ``float.__repr__`` as json writes them."""
+        head = '{\n "cutoff": %s,\n "horoball_height": %s,\n "entries": ' % (
+            json.dumps(self.cutoff), json.dumps(self.horoball_height))
+        if not self.entries:
+            return head + "[]\n}"
+        return head + "[\n" + ",\n".join(_ENTRY_JSON % (
+            json.dumps(e.class_word), e.length, e.energy, e.action, e.f0,
+            e.b0) for e in self.entries) + "\n ]\n}"
 
     def write_csv(self, path):
         with open(path, "w", newline="") as f:
@@ -220,11 +230,12 @@ def canonical_classes(rep: GroupPresentation, a0: float, Lmax: float,
     """Deterministic list of (word, canonical double-coset representative)
     pairs with nondegenerate cord length <= Lmax, sorted by (length rounded
     to 9 digits, word).  A class is named by its ``center_key`` on the level
-    arrays and keeps its first element; only kept classes get a word."""
+    arrays and keeps its first row, whose word is the shortlex-least word
+    found for it; the new classes of a level are spelled together."""
     cmax = math.exp(Lmax / 2.0) / a0
     mu, lam = rep.lattice_vectors()
     names = sorted(rep.letters())
-    levels, classes = [], {}
+    levels, known, classes = [], np.empty(0, complex), []
     for g, parent, letter in enumerate_elements(rep, max_radius=Lmax, a0=a0,
                                                 max_word_len=max_word_len):
         levels.append((parent, letter))
@@ -237,14 +248,16 @@ def canonical_classes(rep: GroupPresentation, a0: float, Lmax: float,
         keys, first = np.unique(np.round(s, 6) % 1.0
                                 + 1j * (np.round(t, 6) % 1.0),
                                 return_index=True)
-        for key, row in zip(keys.tolist(), rows[first].tolist()):
-            if key not in classes:
-                # the row's own entries: Moebius() would divide by sqrt(det)
-                h = Moebius.__new__(Moebius)
-                h.a, h.b, h.c, h.d = g[:, row].tolist()
-                word = "".join(spell(levels, len(levels) - 1, row, names))
-                classes[key] = (word, double_coset_canonical(h, rep))
-    return sorted(classes.values(), key=lambda wm: (
+        new = ~np.isin(keys, known, assume_unique=True)
+        known = np.concatenate([known, keys[new]])
+        rows = rows[first[new]]
+        words = spell(levels, len(levels) - 1, rows, names)
+        for word, entries in zip(words.T.tolist(), g[:, rows].T.tolist()):
+            # the row's own entries: Moebius() would divide by sqrt(det)
+            h = Moebius.__new__(Moebius)
+            h.a, h.b, h.c, h.d = entries
+            classes.append(("".join(word), double_coset_canonical(h, rep)))
+    return sorted(classes, key=lambda wm: (
         round(2.0 * math.log(a0 * abs(wm[1].c)), 9), wm[0]))
 
 

@@ -254,19 +254,23 @@ def reduced_levels(letters, inverse, keep, max_elements: int,
     """Breadth-first search over the freely reduced words in the k rows of
     ``letters`` (complex, or real for a group in PSL(2, R)), where letter
     inverse[i] cancels letter i.  Yields each level as (rows, parent row,
-    last letter), the identity first (parent None).
+    last letter), the identity first (parent None).  Within a level the
+    words are in shortlex order: by parent row, then by letter.
     A word is kept if ``keep(h)``, a bool mask over the child columns h
-    (called on blocks of them), accepts its element and that element was
-    not kept before, in PSL.
-    Stops at a level that adds nothing, or after ``max_word_len`` letters
-    when one is given; raises BudgetExceeded past ``max_elements`` kept
-    elements."""
+    (called on blocks of them), accepts its element.
+    - With ``max_word_len``, every such word is a row, up to that many
+      letters, and an element may recur under later words: its first
+      row is its shortlex-least kept word.
+    - Without it, a word is dropped when its element was kept before, in
+      PSL, and the search stops at a level that adds nothing.
+    Raises BudgetExceeded past ``max_elements`` kept rows."""
     k = letters.shape[1]
     inverse = np.append(inverse, -1)  # the identity's last letter k has none
     g = np.array([[1], [0], [0], [1]], dtype=letters.dtype)  # the identity
     last = np.array([k])
     yield g, None, last
-    seen = set(_psl_keys(g))
+    seen = set(_psl_keys(g)) if max_word_len is None else None
+    kept = 0
     for _ in (itertools.count() if max_word_len is None
               else range(max_word_len)):
         # every row times every letter; keep runs on blocks of columns
@@ -277,28 +281,33 @@ def reduced_levels(letters, inverse, keep, max_elements: int,
         ok &= (np.arange(k) != inverse[last][:, None]).ravel()
         parent, letter = np.divmod(np.flatnonzero(ok), k)
         h = h[:, ok]
-        new = []
-        for i, key in enumerate(_psl_keys(h)):
-            if key not in seen:
-                seen.add(key)
-                new.append(i)
-        if len(seen) - 1 > max_elements:
+        if seen is not None:
+            new = []
+            for i, key in enumerate(_psl_keys(h)):
+                if key not in seen:
+                    seen.add(key)
+                    new.append(i)
+            h, parent, letter = h[:, new], parent[new], letter[new]
+        kept += h.shape[1]
+        if kept > max_elements:
             raise BudgetExceeded(f"element cap {max_elements} exceeded")
-        if not new:
+        if not h.shape[1]:
             return
-        g, last = h[:, new], letter[new]
-        yield g, parent[new], last
+        g, last = h, letter
+        yield g, parent, last
 
 
-def spell(levels, depth: int, row: int, names) -> list:
-    """Row ``row`` of level ``depth`` as a list of ``names``, traced back
-    through ``levels``, each level's (parent row, last letter) from
-    ``reduced_levels``, the identity's level first."""
+def spell(levels, depth: int, rows, names) -> np.ndarray:
+    """The words of ``rows`` (one row index, or an array of them) of level
+    ``depth``, traced back through ``levels``, each level's (parent row,
+    last letter) from ``reduced_levels``, the identity's level first.
+    Returns ``names`` taken at the letters, first letter first: shape
+    (depth,) for one row, (depth, n) for n rows."""
     word = []
     for parent, letter in levels[depth:0:-1]:
-        word.append(names[letter[row]])
-        row = parent[row]
-    return word[::-1]
+        word.append(letter[rows])
+        rows = parent[rows]
+    return np.asarray(names)[np.array(word[::-1], dtype=int)]
 
 
 def enumerate_elements(rep: GroupPresentation, max_radius: float,

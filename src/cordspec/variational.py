@@ -306,6 +306,10 @@ def constant_chord_hessian(a0: float = 1.0, N: int = 128) -> tuple:
     (dq_c, dp_c).  Its singular values are the union of the blocks', and the
     rank is counted against one tolerance over all of them.  The x and y
     blocks are the same matrix, so it is factored once and counted twice.
+
+    Each block is square, 2N + 2 rows (N + N equations and 2 endpoint rows)
+    over 2N + 2 unknowns, so ``cokernel_dim`` equals ``kernel_dim`` by
+    construction: the cokernel count checks nothing beyond the kernel.
     """
     h = 1.0 / N
     n = N + 1

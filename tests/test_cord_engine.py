@@ -267,6 +267,20 @@ def test_spectrum_serialization(tmp_path, fig8):
     assert len(rows) == len(spec.entries) + 1
 
 
+@pytest.mark.parametrize("cutoff", [2.0, 0.3])
+def test_spectrum_json_is_the_json_module_output(fig8, cutoff):
+    # 0.3 lies below the shortest cord, 2 ln 1.2, so that spectrum is empty
+    spec = ce.enumerate_cords(fig8, A0, cutoff)
+    assert bool(spec.entries) == (cutoff == 2.0)
+    text = spec.to_json()
+    assert text == json.dumps({
+        "cutoff": cutoff, "horoball_height": A0,
+        "entries": [e.__dict__ for e in spec.entries]}, indent=1)
+    data = json.loads(text)
+    assert (data["cutoff"], data["horoball_height"]) == (cutoff, A0)
+    assert [ce.SpectrumEntry(**e) for e in data["entries"]] == spec.entries
+
+
 def test_chord_lift_and_action():
     cord = ce.Cord.from_vertical(A0, 0j, 1.3)
     q = cord.point(0.4)

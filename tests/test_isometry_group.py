@@ -1,9 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from cordspec.cord_engine import canonical_classes
 from cordspec.hyperbolic_core import PointH3, distance
 from cordspec.isometry_group import (INFINITY, BudgetExceeded, Horoball,
                                      Moebius, _entries, _psl_keys,
@@ -190,11 +192,37 @@ def flat_elements(rep, max_radius, a0=1.0, **kw):
     return out
 
 
-def test_enumeration_yields_distinct_elements(fig8):
-    els = [g for _, g in flat_elements(fig8, max_radius=3.0,
-                                       max_word_len=10)]
-    assert len({psl_invariant(g) for g in els}) == len(els)
-    assert min(abs(g.c) for g in els if abs(g.c) > 1e-9) == pytest.approx(1.0)
+def first_shortlex_classes(rep, a0, Lmax, max_len):
+    """The word of each cord class with length <= Lmax, by the naming
+    rule: the first of the reduced words of up to ``max_len`` letters, in
+    shortlex order on ``sorted(rep.letters())``, whose element is neither
+    peripheral nor tangent and lies within the cutoff, per ``center_key``.
+    Each word is evaluated on its own, by ``rep.evaluate``."""
+    names = sorted(rep.letters())
+    classes = {}
+    for n in range(1, max_len + 1):
+        for word in itertools.product(names, repeat=n):
+            if any(x == y.swapcase() for x, y in zip(word, word[1:])):
+                continue
+            g = rep.evaluate(word)
+            ac = abs(g.c)
+            if (ac >= 1e-9 and a0 * ac > 1.0 + 1e-9
+                    and 2.0 * math.log(a0 * ac) <= Lmax + 1e-12):
+                classes.setdefault(center_key(g, rep), "".join(word))
+    return sorted(classes.values())
+
+
+def test_capped_search_names_each_class_by_its_first_shortlex_word(fig8):
+    # a capped search keeps every reduced word, so a class keeps its first
+    # row: the first word of the first element that reaches the class
+    for Lmax, cap in ((2.0, 6), (3.0, 6), (3.0, 7)):
+        want = first_shortlex_classes(fig8, 1.2, Lmax, cap)
+        got = sorted(w for w, _ in canonical_classes(fig8, 1.2, Lmax,
+                                                     max_word_len=cap))
+        assert got == want, (Lmax, cap)
+    ac = np.concatenate([np.abs(g[2]) for g, _, _ in enumerate_elements(
+        fig8, max_radius=3.0, max_word_len=10)])
+    assert ac[ac > 1e-9].min() == pytest.approx(1.0)
 
 
 def test_enumeration_pruning_is_lossless(fig8):
