@@ -21,7 +21,8 @@ from . import variational
 from .hyperbolic_core import PointH3, TangentVec, christoffel, christoffel_fd, \
     inner, riemann_fd
 from .flow_integrator import CotangentState
-from .isometry_group import BudgetExceeded, load_presentation
+from .isometry_group import (BudgetExceeded, load_presentation,
+                             verify_presentation)
 
 EXIT_OK = 0
 EXIT_ASSERT = 1
@@ -60,9 +61,15 @@ def _load_rep(path):
     if path is None:
         path = resources.files("cordspec").joinpath("data/figure_eight.json")
     try:
-        return load_presentation(path)
+        rep = load_presentation(path)
+        check = verify_presentation(rep)
     except (OSError, KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"cannot load holonomy file: {e}")
+    if not check["ok"]:
+        raise ConfigError("cannot load holonomy file: relator residuals "
+                          f"{check['relator_residuals']}, failed checks "
+                          f"{[k for k, v in check['flags'].items() if not v]}")
+    return rep
 
 
 def _resolve_height(height, rep):
@@ -73,7 +80,7 @@ def _resolve_height(height, rep):
 
 # ---------------------------------------------------------------- verify
 
-def _suite_curvature(tol):
+def _suite_curvature():
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(100):
@@ -89,7 +96,7 @@ def _suite_curvature(tol):
     return worst
 
 
-def _suite_mean_curvature(tol):
+def _suite_mean_curvature():
     return max(abs(variational.mean_curvature(z0) - 1.0)
                for z0 in (0.1, 1.0, 10.0))
 
@@ -105,7 +112,7 @@ def _random_states(n, seed=11):
     return out
 
 
-def _suite_forms(tol):
+def _suite_forms():
     worst = 0.0
     for s in _random_states(30):
         res = flow_integrator.form_identity_residuals(s)
@@ -113,7 +120,7 @@ def _suite_forms(tol):
     return worst
 
 
-def _suite_psh(tol):
+def _suite_psh():
     worst = 0.0
     for s in _random_states(30, seed=13):
         z = s.q.z
@@ -122,7 +129,7 @@ def _suite_psh(tol):
     return worst
 
 
-def _suite_flow(tol):
+def _suite_flow():
     s0 = CotangentState(PointH3(0.3, -0.2, 1.1), np.array([0.4, -0.3, 0.5]))
     h0 = flow_integrator.hamiltonian(s0)
     s1, path = flow_integrator.integrate_flow(s0, T=2.0, dt=1e-3,
@@ -132,7 +139,7 @@ def _suite_flow(tol):
     return max(drift, res / 10.0)  # residual tolerance is 10x looser
 
 
-def _suite_cylinder(tol):
+def _suite_cylinder():
     cyl = flow_integrator.CylMetric(2)
     grid = np.linspace(0.05, 2.0 - 0.05, 400)
     worst = max(0.0, -min(cyl.rho_second(float(a)) for a in grid))
@@ -162,9 +169,8 @@ def run_verify(cfg: RunConfig, suites=None) -> tuple:
     results = {}
     for name in names:
         fn, tol = _SUITES[name]
-        if cfg.tol is not None:
-            tol = cfg.tol
-        res = fn(tol)
+        tol = tol if cfg.tol is None else cfg.tol
+        res = fn()
         results[name] = {"max_residual": res, "tolerance": tol,
                          "pass": bool(res <= tol)}
     ok = all(v["pass"] for v in results.values())
@@ -222,25 +228,20 @@ def run_index(cfg: RunConfig, no_assert=False, constant_chord=False) -> tuple:
     rep = _load_rep(cfg.input_path)
     a0 = _resolve_height(cfg.height, rep)
     try:
-        cord_engine.check_embedded(rep, a0)
+        classes = cord_engine.canonical_classes(rep, a0, cfg.cutoff)
     except ValueError as e:
         raise ConfigError(str(e))
-    classes = cord_engine.canonical_classes(rep, a0, cfg.cutoff)
-
-    rows = []
     # at one height the Hessian depends on the cord only through its length
-    spectra = {}
-    for word, g in classes:
-        cord = cord_engine.cord_for_class(g, a0)
-        if cord.length not in spectra:
-            H = variational.hessian(cord, N=cfg.mesh_size)
-            # both read the one eigen solve that H keeps
-            spectra[cord.length] = (*variational.index_nullity(H),
-                                    variational.smallest_eigenvalue(H))
-        idx, nul, lam = spectra[cord.length]
-        rows.append({"class_word": word, "length": cord.length, "index": idx,
+    rows, spectra = [], {}
+    for word, g, ell in classes:
+        if ell not in spectra:
+            H = variational.hessian(cord_engine.cord_for_class(g, a0),
+                                    N=cfg.mesh_size)
+            spectra[ell] = (*variational.index_nullity(H),
+                            variational.smallest_eigenvalue(H))
+        idx, nul, lam = spectra[ell]
+        rows.append({"class_word": word, "length": ell, "index": idx,
                      "nullity": nul, "min_eigenvalue": lam})
-    rows.sort(key=lambda r: (round(r["length"], 9), r["class_word"]))
     ok = all(r["index"] == 0 and r["nullity"] == 0 for r in rows)
     report = {"subcommand": "index", "ok": ok or no_assert, "height": a0,
               "cutoff": cfg.cutoff, "mesh_size": cfg.mesh_size, "rows": rows}

@@ -12,10 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hyperbolic_core import PointH3
-from .isometry_group import (INFINITY, GroupPresentation, Horoball, Moebius,
-                             _lattice_coords, apply_boundary, apply_h3,
+from .isometry_group import (INFINITY, PERIPHERAL_TOL, GroupPresentation,
+                             Horoball, Moebius, apply_boundary, apply_h3,
                              double_coset_canonical, enumerate_elements,
-                             image_horoball, spell)
+                             image_horoball, lattice_key, spell)
+
+# a0 |c(g)| <= 1 + TANGENT_TOL: the horoballs of g's class touch or overlap
+TANGENT_TOL = 1e-9
 
 
 @dataclass
@@ -116,9 +119,9 @@ def cord_length(g: Moebius, a0: float) -> float:
     """Closed-form cord length 2 ln(a0 |c(g)|) for the class of g relative
     to the horoball {z >= a0}."""
     ac = abs(g.c)
-    if ac < 1e-14:
+    if ac < PERIPHERAL_TOL:
         raise ValueError("peripheral element has no cord")
-    if a0 * ac <= 1.0 + 1e-12:
+    if a0 * ac <= 1.0 + TANGENT_TOL:
         raise ValueError("tangent or overlapping horoballs")
     return 2.0 * math.log(a0 * ac)
 
@@ -205,7 +208,8 @@ def max_embedded_height(rep: GroupPresentation) -> float:
     for g, _, _ in enumerate_elements(rep, max_radius=12.0,
                                       max_word_len=_EMBEDDED_SEARCH_WORD_LEN):
         ac = np.abs(g[2])
-        best = np.min(ac[(ac <= cmax + 1e-12) & (ac > 1e-9)], initial=best)
+        best = np.min(ac[(ac <= cmax + 1e-12) & (ac >= PERIPHERAL_TOL)],
+                      initial=best)
     return 1.0 if best == math.inf else 1.0 / float(best)
 
 
@@ -227,13 +231,14 @@ def check_embedded(rep: GroupPresentation, a0: float) -> None:
 
 def canonical_classes(rep: GroupPresentation, a0: float, Lmax: float,
                       max_word_len: int = 10) -> list:
-    """Deterministic list of (word, canonical double-coset representative)
-    pairs with nondegenerate cord length <= Lmax, sorted by (length rounded
-    to 9 digits, word).  A class is named by its ``center_key`` on the level
+    """(word, canonical double-coset representative, cord length) of each
+    class with nondegenerate cord length <= Lmax, sorted by (length rounded
+    to 9 digits, word); ValueError if a0 is below the embedded threshold.
+    A class is named by the ``lattice_key`` of its center on the level
     arrays and keeps its first row, whose word is the shortlex-least word
     found for it; the new classes of a level are spelled together."""
+    check_embedded(rep, a0)
     cmax = math.exp(Lmax / 2.0) / a0
-    mu, lam = rep.lattice_vectors()
     names = sorted(rep.letters())
     levels, known, classes = [], np.empty(0, complex), []
     for g, parent, letter in enumerate_elements(rep, max_radius=Lmax, a0=a0,
@@ -241,12 +246,10 @@ def canonical_classes(rep: GroupPresentation, a0: float, Lmax: float,
         levels.append((parent, letter))
         ac = np.abs(g[2])
         # not peripheral, not tangent (a degenerate class), within the cutoff
-        rows = np.flatnonzero((ac <= cmax + 1e-12) & (ac >= 1e-9)
-                              & (a0 * ac > 1.0 + 1e-9))
+        rows = np.flatnonzero((ac <= cmax + 1e-12) & (ac >= PERIPHERAL_TOL)
+                              & (a0 * ac > 1.0 + TANGENT_TOL))
         rows = rows[2.0 * np.log(a0 * ac[rows]) <= Lmax + 1e-12]
-        s, t = _lattice_coords(g[0, rows] / g[2, rows], mu, lam)
-        keys, first = np.unique(np.round(s, 6) % 1.0
-                                + 1j * (np.round(t, 6) % 1.0),
+        keys, first = np.unique(lattice_key(g[0, rows] / g[2, rows], rep),
                                 return_index=True)
         new = ~np.isin(keys, known, assume_unique=True)
         known = np.concatenate([known, keys[new]])
@@ -256,24 +259,15 @@ def canonical_classes(rep: GroupPresentation, a0: float, Lmax: float,
             # the row's own entries: Moebius() would divide by sqrt(det)
             h = Moebius.__new__(Moebius)
             h.a, h.b, h.c, h.d = entries
-            classes.append(("".join(word), double_coset_canonical(h, rep)))
-    return sorted(classes, key=lambda wm: (
-        round(2.0 * math.log(a0 * abs(wm[1].c)), 9), wm[0]))
+            cg = double_coset_canonical(h, rep)
+            classes.append(("".join(word), cg, cord_length(cg, a0)))
+    return sorted(classes, key=lambda c: (round(c[2], 9), c[0]))
 
 
-def enumerate_cords(rep: GroupPresentation, a0: float, Lmax: float,
-                    max_word_len: int = 10) -> ActionSpectrum:
-    """Action spectrum of the pair: one entry per nontrivial double coset
-    with cord length <= Lmax, shortest first, in the order of
-    ``canonical_classes``.
-
-    a0 must be at least the embedded-height threshold of the group.
-    """
-    check_embedded(rep, a0)
-    entries = []
-    for word, cg in canonical_classes(rep, a0, Lmax, max_word_len):
-        ell = cord_length(cg, a0)
-        entries.append(SpectrumEntry(
-            class_word=word, length=ell, energy=0.5 * ell**2,
-            action=-0.5 * ell**2, f0=1.0 / a0, b0=1.0 / a0))
-    return ActionSpectrum(entries, Lmax, a0)
+def enumerate_cords(rep: GroupPresentation, a0: float,
+                    Lmax: float) -> ActionSpectrum:
+    """Action spectrum: one entry per ``canonical_classes`` triple."""
+    return ActionSpectrum([SpectrumEntry(w, ell, 0.5 * ell**2, -0.5 * ell**2,
+                                         1.0 / a0, 1.0 / a0)
+                           for w, _, ell in canonical_classes(rep, a0, Lmax)],
+                          Lmax, a0)

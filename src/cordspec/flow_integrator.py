@@ -17,7 +17,8 @@ import numpy as np
 
 from .hyperbolic_core import (PointH3, TangentVec, christoffel, distance,
                               distance_gradient, geodesic_point)
-from .isometry_group import Horoball, Moebius, image_horoball
+from .cord_engine import Cord
+from .isometry_group import PERIPHERAL_TOL, Horoball, Moebius, image_horoball
 
 
 @dataclass
@@ -318,11 +319,9 @@ def shoot_neumann(B0: Horoball, g: Moebius,
     is singular or leaves the chart, too many steps, or a solve that misses
     either check raise RuntimeError.
     """
-    from . import cord_engine  # local import to avoid a module cycle
-
     if not B0.is_at_infinity():
         raise ValueError("B0 must be centered at infinity")
-    if abs(g.c) < 1e-12:
+    if abs(g.c) < PERIPHERAL_TOL:
         raise ValueError("peripheral element has no cord")
     a0 = B0.size
     B1 = image_horoball(g, B0)
@@ -380,8 +379,8 @@ def shoot_neumann(B0: Horoball, g: Moebius,
         raise RuntimeError(f"shooting did not converge: |grad d| {gnorm:.3g} "
                            f"(tolerance {GRAD_TOL:g}), witness miss "
                            f"{miss:.3g} (tolerance {WITNESS_TOL:g})")
-    return cord_engine.Cord.from_endpoints(start=P, end=Q, length=ell,
-                                           centers=(B0.center, B1.center))
+    return Cord.from_endpoints(start=P, end=Q, length=ell,
+                               centers=(B0.center, B1.center))
 
 
 # ---------------------------------------------------------------------------

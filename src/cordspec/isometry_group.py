@@ -17,6 +17,8 @@ from .hyperbolic_core import PointH3
 INFINITY = complex("inf")
 
 _TOL = 1e-9
+# g fixes infinity iff |c(g)| < PERIPHERAL_TOL: else |c| >= 1/|tau| (Shimizu)
+PERIPHERAL_TOL = 1e-9
 
 
 def is_infinity(w) -> bool:
@@ -128,7 +130,7 @@ def image_horoball(g: Moebius, B: Horoball) -> Horoball:
     factoring off the standard map sending infinity to the center.
     """
     if B.is_at_infinity():
-        if abs(g.c) < 1e-14:
+        if abs(g.c) < PERIPHERAL_TOL:
             # g fixes infinity; heights scale by |a|^2 (since ad = 1)
             return Horoball(INFINITY, B.size * abs(g.a) ** 2)
         return Horoball(g.a / g.c, 1.0 / (abs(g.c) ** 2 * B.size))
@@ -342,14 +344,19 @@ def _lattice_coords(w, mu: complex, lam: complex) -> tuple:
     return s - (s + 1e-9) // 1.0, t - (t + 1e-9) // 1.0
 
 
-def center_key(g: Moebius, rep: GroupPresentation) -> tuple:
-    """The name of g's cord class: its horoball center g(inf) = a/c in
-    lattice coordinates modulo the cusp lattice, rounded.  Multiplying g by
-    peripheral elements moves a/c by lattice vectors; no sign enters."""
-    if abs(g.c) < 1e-12:
+def lattice_key(w, rep: GroupPresentation):
+    """Class name s + it of a horoball center w = s mu + t lam (a complex or
+    an array) modulo the cusp lattice: s, t rounded by ``np.round(., 6)``."""
+    s, t = _lattice_coords(w, *rep.lattice_vectors())
+    return np.round(s, 6) % 1.0 + 1j * (np.round(t, 6) % 1.0)
+
+
+def center_key(g: Moebius, rep: GroupPresentation) -> complex:
+    """The ``lattice_key`` of g's horoball center g(inf) = a/c: peripheral
+    factors move a/c by lattice vectors, and no sign enters."""
+    if abs(g.c) < PERIPHERAL_TOL:
         raise ValueError("peripheral element has no cord class")
-    s, t = _lattice_coords(g.a / g.c, *rep.lattice_vectors())
-    return round(s, 6) % 1.0, round(t, 6) % 1.0
+    return lattice_key(g.a / g.c, rep)
 
 
 def double_coset_canonical(g: Moebius, rep: GroupPresentation) -> Moebius:
@@ -360,7 +367,7 @@ def double_coset_canonical(g: Moebius, rep: GroupPresentation) -> Moebius:
     the fundamental parallelogram of the cusp lattice and recomputes b from
     the determinant.  Idempotent up to sign.
     """
-    if abs(g.c) < 1e-12:
+    if abs(g.c) < PERIPHERAL_TOL:
         raise ValueError("peripheral element has no cord class")
     mu, lam = rep.lattice_vectors()
     c = g.c

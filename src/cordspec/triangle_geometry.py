@@ -8,12 +8,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cord_engine import Cord, check_embedded, common_perpendicular
-from .isometry_group import (INFINITY, GroupPresentation, Horoball, Moebius,
-                             apply_boundary, center_key, image_horoball,
-                             is_infinity)
-
-_TOL = 1e-9
+from .cord_engine import (TANGENT_TOL, Cord, check_embedded,
+                          common_perpendicular)
+from .isometry_group import (INFINITY, PERIPHERAL_TOL, GroupPresentation,
+                             Horoball, Moebius, apply_boundary, center_key,
+                             image_horoball, is_infinity)
 
 
 def _same_point(u, v, tol: float = 1e-9) -> bool:
@@ -179,7 +178,7 @@ def triangle_catalog(rep: GroupPresentation, a0: float, Lmax: float,
     check_embedded(rep, a0)
     e0, e1, e2 = (rep.evaluate(w) for w in words)
     for w, g in zip(words, (e0, e1, e2)):
-        if abs(g.c) < 1e-9:
+        if abs(g.c) < PERIPHERAL_TOL:
             raise ValueError(f"class {w!r} is peripheral (constant chord)")
     target = center_key(e2.inverse(), rep)
     B0 = Horoball(INFINITY, a0)
@@ -200,7 +199,7 @@ def triangle_catalog(rep: GroupPresentation, a0: float, Lmax: float,
                 continue
             h2 = e0.compose(Moebius(1, v, 0, 1)).compose(e1)
             ac = abs(h2.c)
-            if ac < 1e-9 or ac > cmax or a0 * ac <= 1.0 + 1e-9:
+            if not PERIPHERAL_TOL <= ac <= cmax or a0 * ac <= 1 + TANGENT_TOL:
                 continue
             if center_key(h2, rep) != target:
                 continue

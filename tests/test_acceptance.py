@@ -81,7 +81,7 @@ def test_criterion_04_shooting_matches_closed_form(fig8):
     B0 = Horoball(INFINITY, A0)
     classes = ce.canonical_classes(fig8, A0, 5.0)[::40]
     worst = 0.0
-    for _, g in classes:
+    for _, g, _ in classes:
         cord = fl.shoot_neumann(B0, g)
         worst = max(worst, abs(cord.length - ce.cord_length(g, A0)))
     # uniqueness: perturbed starts (x, y, s, t) converge to the same cord
@@ -100,7 +100,7 @@ def test_criterion_04_shooting_matches_closed_form(fig8):
 
 def test_criterion_05_morse_index(fig8):
     ok = True
-    for _, g in ce.canonical_classes(fig8, A0, 2.5):
+    for _, g, _ in ce.canonical_classes(fig8, A0, 2.5):
         cord = ce.cord_for_class(g, A0)
         H = va.hessian(cord, N=256)
         ok &= va.index_nullity(H) == (0, 0)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -100,13 +101,18 @@ def test_spectrum_missing_input_file(capsys):
 
 
 def test_malformed_holonomy_file_is_config_error(capsys, tmp_path):
+    shipped = json.loads(resources.files("cordspec").joinpath(
+        "data/figure_eight.json").read_text())
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({
-        "generators": [{"a": 5, "b": [0, 0], "c": [0, 0], "d": [1, 0]}],
-        "relators": [], "meridian": "a", "longitude": "a",
-        "cusp_lattice": [[1, 0], [0, 1]]}))
-    code, rep, err = run(capsys, ["spectrum", "--input", str(bad)])
-    assert code == 2 and rep is None and "cannot load" in err
+    for data in ({"generators": [{"a": 5, "b": [0, 0], "c": [0, 0],
+                                  "d": [1, 0]}],
+                  "relators": [], "meridian": "a", "longitude": "a",
+                  "cusp_lattice": [[1, 0], [0, 1]]},
+                 # parses, but its relator is not the identity
+                 dict(shipped, relators=["ab"])):
+        bad.write_text(json.dumps(data))
+        code, rep, err = run(capsys, ["spectrum", "--input", str(bad)])
+        assert code == 2 and rep is None and "cannot load" in err
 
 
 def test_spectrum_bad_cutoff(capsys):
@@ -161,7 +167,7 @@ def test_index_constant_chord(capsys):
     assert rep["mesh_size"] == 128
 
 
-def test_index_small_cutoff(capsys):
+def test_index_small_cutoff(capsys, tmp_path):
     code, rep, _ = run(capsys, ["index", "--height", "1.2", "--cutoff", "1.5",
                                 "--mesh-size", "128"])
     assert code == 0
@@ -170,6 +176,19 @@ def test_index_small_cutoff(capsys):
     for r in rep["rows"]:
         assert r["index"] == 0 and r["nullity"] == 0
         assert r["min_eigenvalue"] > r["length"] ** 2
+    # index and spectrum report one list of classes: at the auto height
+    # the index rows are the spectrum file's entries, in the same order
+    out = tmp_path / "s.json"
+    code, spec, _ = run(capsys, ["spectrum", "--cutoff", "2.5",
+                                 "--out", str(out)])
+    assert code == 0
+    code, rep, _ = run(capsys, ["index", "--cutoff", "2.5",
+                                "--mesh-size", "64"])
+    assert code == 0 and rep["height"] == spec["height"]
+    entries = json.loads(out.read_text())["entries"]
+    assert len(entries) == 116
+    assert [(r["class_word"], r["length"]) for r in rep["rows"]] == [
+        (e["class_word"], e["length"]) for e in entries]
 
 
 def test_torus_subcommand(capsys, tmp_path):

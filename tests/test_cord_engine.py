@@ -118,7 +118,7 @@ def test_z_profile_residual_and_bounds(fig8):
 def test_cord_for_class_has_the_closed_form_length(fig8):
     # index prints the lengths that spectrum prints, to the last bit
     a0 = ce.embedded_height(fig8)
-    for _, g in ce.canonical_classes(fig8, a0, 2.5):
+    for _, g, _ in ce.canonical_classes(fig8, a0, 2.5):
         cord = ce.cord_for_class(g, a0)
         assert cord.length == ce.cord_length(g, a0)
         assert cord.start.z == a0
@@ -165,8 +165,8 @@ def test_enumerate_cords_below_threshold_rejected(fig8):
 def test_canonical_classes_deterministic(fig8):
     c1 = ce.canonical_classes(fig8, A0, 2.0)
     c2 = ce.canonical_classes(fig8, A0, 2.0)
-    assert [w for w, _ in c1] == [w for w, _ in c2]
-    assert len({center_key(g, fig8) for _, g in c1}) == len(c1)
+    assert [w for w, _, _ in c1] == [w for w, _, _ in c2]
+    assert len({center_key(g, fig8) for _, g, _ in c1}) == len(c1)
 
 
 # Oracle for the figure-eight spectrum.  Riley's holonomy lies in

@@ -217,8 +217,8 @@ def test_capped_search_names_each_class_by_its_first_shortlex_word(fig8):
     # row: the first word of the first element that reaches the class
     for Lmax, cap in ((2.0, 6), (3.0, 6), (3.0, 7)):
         want = first_shortlex_classes(fig8, 1.2, Lmax, cap)
-        got = sorted(w for w, _ in canonical_classes(fig8, 1.2, Lmax,
-                                                     max_word_len=cap))
+        got = sorted(w for w, _, _ in canonical_classes(fig8, 1.2, Lmax,
+                                                        max_word_len=cap))
         assert got == want, (Lmax, cap)
     ac = np.concatenate([np.abs(g[2]) for g, _, _ in enumerate_elements(
         fig8, max_radius=3.0, max_word_len=10)])
@@ -270,3 +270,11 @@ def test_double_coset_rejects_peripheral(fig8):
         double_coset_canonical(fig8.evaluate("a"), fig8)
     with pytest.raises(ValueError):
         center_key(fig8.evaluate("a"), fig8)
+
+
+def test_center_key_rounds_as_the_spectrum_names(fig8):
+    # a center half-way between two 6-digit names gets the spectrum's
+    # name: np.round rounds 2.5 to even, where round() would give 3e-06
+    mu, _ = fig8.lattice_vectors()
+    g = Moebius(2.5e-6 * mu, -1, 1, 0)
+    assert center_key(g, fig8) == 2e-06 + 0j

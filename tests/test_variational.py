@@ -145,7 +145,7 @@ def test_constant_chord_kernel_cokernel():
 
 
 def test_enumerated_cords_all_stable(fig8):
-    for _, g in ce.canonical_classes(fig8, A0, 2.0):
+    for _, g, _ in ce.canonical_classes(fig8, A0, 2.0):
         cord = ce.cord_for_class(g, A0)
         H = va.hessian(cord, N=128)
         assert va.index_nullity(H) == (0, 0)
