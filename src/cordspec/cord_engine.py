@@ -93,16 +93,16 @@ def common_perpendicular(B0: Horoball, B1: Horoball) -> Cord:
     """The unique geodesic arc meeting both horospheres orthogonally,
     parameterized on [0, 1] from B0 to B1.
 
-    Degenerate (tangent or overlapping) horoballs are rejected.
+    Horoballs that are tangent or overlap are rejected, as in
+    ``cord_length``, on e^{l/2} = sqrt(a0 / d) once B0's center is moved
+    to infinity; so are centers that ``image_horoball`` finds equal.
     """
     inf0, inf1 = B0.is_at_infinity(), B1.is_at_infinity()
     if inf0 and inf1:
-        raise ValueError("horoballs share the center at infinity")
-    if not inf0 and not inf1 and abs(B0.center - B1.center) < 1e-14:
         raise ValueError("horoballs share a center")
     if inf0:
         a0, d = B0.size, B1.size
-        if d >= a0 - 1e-12:
+        if math.sqrt(a0 / d) <= 1.0 + TANGENT_TOL:
             raise ValueError("tangent or overlapping horoballs (no cord)")
         return Cord.from_vertical(a0, B1.center, math.log(a0 / d))
     # move B0's center to infinity with m: w -> -1/(w - w0), map the

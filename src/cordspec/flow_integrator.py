@@ -74,31 +74,28 @@ class FrameData:
 
 
 def frame_fields(s: CotangentState) -> FrameData:
-    """Sasakian frame: H_i = d_{q^i} + p_a Gamma^a_{ij} d_{p_j}, V_i = d_{p_i}."""
-    gam = christoffel(s.q)
-    H = np.zeros((6, 3))
-    for i in range(3):
-        H[i, i] = 1.0
-        for j in range(3):
-            H[3 + j, i] = float(s.p @ gam[:, i, j])
-    V = np.zeros((6, 3))
-    V[3:, :] = np.eye(3)
-    return FrameData(H, V, np.hstack([H, V]))
+    """Sasakian frame: H_i = d_{q^i} + p_a Gamma^a_{ij} d_{p_j}, V_i = d_{p_i}.
+
+    F = [[I, 0], [G, I]] with the connection block G_ji = p_a Gamma^a_ij."""
+    F = np.eye(6)
+    F[3:, :3] = np.einsum("a,aij->ji", s.p, christoffel(s.q))
+    return FrameData(F[:, :3], F[:, 3:], F)
 
 
 def sasakian_J(s: CotangentState) -> np.ndarray:
     """Metric almost complex structure in coordinates.
 
     In the frame, J maps H_i -> h_ij V_j = (1/z^2) V_i and
-    V_i -> -h^ij H_j = -z^2 H_i; J^2 = -Identity.
+    V_i -> -h^ij H_j = -z^2 H_i; J^2 = -Identity.  F is unit block
+    lower-triangular, so F^{-1} = [[I, 0], [-G, I]] and
+    J = F B F^{-1} = [[z^2 G, -z^2 I], [I/z^2 + z^2 G^2, -z^2 G]].
     """
-    fr = frame_fields(s)
+    G = frame_fields(s).H[3:]
     z2 = s.q.z**2
-    B = np.zeros((6, 6))
-    for i in range(3):
-        B[3 + i, i] = 1.0 / z2
-        B[i, 3 + i] = -z2
-    return fr.F @ B @ np.linalg.inv(fr.F)
+    J = np.empty((6, 6))
+    J[:3, :3], J[3:, 3:] = z2 * G, -z2 * G
+    J[:3, 3:], J[3:, :3] = -z2 * np.eye(3), z2 * G @ G + np.eye(3) / z2
+    return J
 
 
 def symplectic_form_matrix() -> np.ndarray:

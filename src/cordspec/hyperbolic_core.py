@@ -85,15 +85,9 @@ def christoffel_fd(q: PointH3, rel_step: float = 1e-5) -> np.ndarray:
         gm = metric_tensor(PointH3.from_coords(c - e))
         dg[k] = (gp - gm) / (2 * h)
     ginv = np.linalg.inv(metric_tensor(q))
-    gamma = np.zeros((3, 3, 3))
-    for a in range(3):
-        for i in range(3):
-            for j in range(3):
-                s = 0.0
-                for m in range(3):
-                    s += ginv[a, m] * (dg[i, m, j] + dg[j, m, i] - dg[m, i, j])
-                gamma[a, i, j] = 0.5 * s
-    return gamma
+    # Gamma^a_ij = g^am (d_i g_mj + d_j g_mi - d_m g_ij) / 2
+    return 0.5 * np.einsum("am,imj->aij", ginv, dg + dg.transpose(2, 1, 0)
+                           - dg.transpose(1, 0, 2))
 
 
 def inner(X: TangentVec, Y: TangentVec) -> float:
@@ -130,15 +124,9 @@ def riemann_fd(q: PointH3, X: TangentVec, Y: TangentVec, Z: TangentVec,
         gm = christoffel(PointH3.from_coords(c - e))
         dgam[k] = (gp - gm) / (2 * h)
     gam = christoffel(q)
-    R = np.zeros((3, 3, 3, 3))  # R[a, b, i, j] = R^a_{bij}
-    for a in range(3):
-        for b in range(3):
-            for i in range(3):
-                for j in range(3):
-                    val = dgam[i, a, j, b] - dgam[j, a, i, b]
-                    for m in range(3):
-                        val += gam[a, i, m] * gam[m, j, b] - gam[a, j, m] * gam[m, i, b]
-                    R[a, b, i, j] = val
+    R = (np.einsum("iajb->abij", dgam) - np.einsum("jaib->abij", dgam)
+         + np.einsum("aim,mjb->abij", gam, gam)
+         - np.einsum("ajm,mib->abij", gam, gam))  # R[a, b, i, j] = R^a_{bij}
     out = np.einsum("abij,i,j,b->a", R, X.vec(), Y.vec(), Z.vec())
     return TangentVec(q, tuple(out))
 

@@ -7,8 +7,8 @@ import pytest
 
 from cordspec import cord_engine as ce
 from cordspec.hyperbolic_core import distance
-from cordspec.isometry_group import (INFINITY, Horoball, center_key,
-                                     image_horoball)
+from cordspec.isometry_group import (INFINITY, Horoball, Moebius,
+                                     center_key, image_horoball)
 
 A0 = 1.2
 
@@ -66,6 +66,29 @@ def test_degenerate_horoballs_rejected():
         ce.common_perpendicular(B0, Horoball(INFINITY, 2.0))
     with pytest.raises(ValueError):
         ce.common_perpendicular(Horoball(1j, 0.3), Horoball(1j, 0.2))
+
+
+@pytest.mark.parametrize("excess", [1e-10, 5e-10, 1e-8])
+def test_common_perpendicular_decides_tangency_as_cord_length(excess):
+    # a0 |c| = 1 + excess; the first two lie in the band that TANGENT_TOL
+    # rejects and that a bare d >= a0 - 1e-12 test let through
+    g = Moebius(0, -1 / (1 + excess), 1 + excess, 0)
+    B0 = Horoball(INFINITY, 1.0)
+    h = Moebius(0, -1, 1, 2)  # moves both centers off infinity
+    pairs = [(B0, image_horoball(g, B0)),
+             (image_horoball(h, B0), image_horoball(h.compose(g), B0))]
+    assert not pairs[1][0].is_at_infinity()
+    if excess <= ce.TANGENT_TOL:
+        with pytest.raises(ValueError):
+            ce.cord_length(g, 1.0)
+        for pair in pairs:
+            with pytest.raises(ValueError, match="tangent"):
+                ce.common_perpendicular(*pair)
+    else:
+        for pair in pairs:
+            cord = ce.common_perpendicular(*pair)
+            assert cord.length == pytest.approx(ce.cord_length(g, 1.0),
+                                                rel=1e-6)
 
 
 def test_transformed_cord_is_isometric(fig8):

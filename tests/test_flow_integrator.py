@@ -94,6 +94,29 @@ def test_sasakian_j_squares_to_minus_one():
         assert np.abs(J @ J + np.eye(6)).max() < 1e-9
 
 
+def test_sasakian_j_matches_dense_frame_oracle():
+    for s in rand_states(10):
+        fr = fl.frame_fields(s)
+        gam = christoffel(s.q)
+        # H_i = d_{q^i} + p_a Gamma^a_ij d_{p_j}, V_i = d_{p_i}
+        for i in range(3):
+            for j in range(3):
+                pg = float(s.p @ gam[:, i, j])
+                assert fr.H[3 + j, i] == pytest.approx(pg, rel=1e-14, abs=0.0)
+        assert np.array_equal(fr.H[:3], np.eye(3))
+        assert np.array_equal(fr.V, np.vstack([np.zeros((3, 3)), np.eye(3)]))
+        # J H_i = V_i / z^2 and J V_i = -z^2 H_i, carried to coordinates
+        z2 = s.q.z ** 2
+        B = np.zeros((6, 6))
+        B[3:, :3] = np.eye(3) / z2
+        B[:3, 3:] = -z2 * np.eye(3)
+        dense = fr.F @ B @ np.linalg.inv(fr.F)
+        # the dense inverse leaves roundoff where J has exact zeros, so
+        # those entries are held to 1e-12 of the largest entry
+        np.testing.assert_allclose(fl.sasakian_J(s), dense, rtol=1e-12,
+                                   atol=1e-12 * np.abs(dense).max())
+
+
 def test_j_compatible_with_symplectic_form():
     Om = fl.symplectic_form_matrix()
     for s in rand_states(10, seed=5):

@@ -48,6 +48,43 @@ def test_riemann_matches_finite_differences(q, seed):
     assert np.abs(alg - num).max() / scale < 1e-5
 
 
+def _central_differences(f, q, h):
+    """d[k] = (f(q + h e_k) - f(q - h e_k)) / 2h."""
+    c = q.coords()
+    return np.array([(f(PointH3.from_coords(c + h * e))
+                      - f(PointH3.from_coords(c - h * e))) / (2 * h)
+                     for e in np.eye(3)])
+
+
+def test_fd_oracles_match_their_index_loops():
+    # the einsum contractions against the index loops they replaced, on the
+    # same difference quotients; only the summation order differs
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        q = PointH3(*rng.normal(size=2), math.exp(rng.normal()))
+        dg = _central_differences(metric_tensor, q, 1e-5 * q.z)
+        ginv = np.linalg.inv(metric_tensor(q))
+        gamma = np.zeros((3, 3, 3))
+        for a, i, j, m in np.ndindex(3, 3, 3, 3):
+            gamma[a, i, j] += 0.5 * ginv[a, m] * (dg[i, m, j] + dg[j, m, i]
+                                                  - dg[m, i, j])
+        eps = np.finfo(float).eps
+        assert (np.abs(christoffel_fd(q) - gamma).max()
+                <= 16 * eps * np.abs(gamma).max())
+        dgam = _central_differences(christoffel, q, 1e-4 * q.z)
+        gam = christoffel(q)
+        R = np.zeros((3, 3, 3, 3))
+        for a, b, i, j in np.ndindex(3, 3, 3, 3):
+            R[a, b, i, j] = dgam[i, a, j, b] - dgam[j, a, i, b] + sum(
+                gam[a, i, m] * gam[m, j, b] - gam[a, j, m] * gam[m, i, b]
+                for m in range(3))
+        X, Y, Z = (rng.normal(size=3) for _ in range(3))
+        loop = np.einsum("abij,i,j,b->a", R, X, Y, Z)
+        fd = riemann_fd(q, *(TangentVec(q, v) for v in (X, Y, Z))).vec()
+        scale = np.abs(R).max() * np.abs([X, Y, Z]).max() ** 3
+        assert np.abs(fd - loop).max() <= 64 * eps * scale
+
+
 @given(points, st.integers(0, 10**6))
 @settings(max_examples=40, deadline=None)
 def test_sectional_curvature_is_minus_one(q, seed):

@@ -14,6 +14,28 @@ def vertical_cord(length=1.3):
     return ce.Cord.from_vertical(A0, 0j, length)
 
 
+def bisection_eigenvalue(H):
+    """The least eigenvalue by plain bisection on the Sturm count over the
+    whole bracket, to adjacent floats: the solve before the Newton start,
+    kept as its oracle."""
+    lo = -H.zero_band
+    if H.count_below(lo) > 0:
+        lo = min(min(a - math.sqrt(l) - math.sqrt(r)
+                     for a, l, r in zip(d, e2, e2[1:] + [0.0]))
+                 for d, e2, _, _ in H._sturm)
+    hi = float(np.min(H.diag.sum(axis=1) + 2.0 * H.off.sum(axis=1))
+               / H.mass.sum())
+    assert H.count_below(hi) >= 1
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if H.count_below(mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+
+
 def test_mean_curvature_of_horospheres():
     for z0 in (0.1, 1.0, 10.0):
         assert abs(va.mean_curvature(z0) - 1.0) < 1e-8
@@ -97,6 +119,51 @@ def test_band_eigenvalues_match_dense_generalized_solve(kwargs):
         assert va.index_nullity(H) == (int(np.sum(dense < -zero_band)),
                                        int(np.sum(np.abs(dense) <= zero_band)))
         assert va.smallest_eigenvalue(H) == pytest.approx(dense[0], rel=1e-10)
+        assert va.smallest_eigenvalue(H) == bisection_eigenvalue(H)
+
+
+class _CountedList(list):
+    """A list that counts the passes made over it."""
+
+    passes = 0
+
+    def __iter__(self):
+        self.passes += 1
+        return super().__iter__()
+
+
+@pytest.mark.parametrize("a0, length, N", [
+    *((A0, ell, N) for ell in (0.3, 1.0, 2.5, 5.0) for N in (64, 256)),
+    # index's auto height: Newton's steps reach rounding level and, undoubled,
+    # crept through 309 passes to the root
+    (1.0000000000000016, 2.197224577336224, 1024)])
+def test_newton_start_returns_the_bisection_float(a0, length, N):
+    H = va.hessian(ce.Cord.from_vertical(a0, 0j, length), N=N)
+    expected = bisection_eigenvalue(H)
+    # count every pivot pass, Sturm count or Newton step: plain bisection
+    # makes 55 to 58
+    (d, *rest), = H._sturm  # equal components: one distinct
+    H._sturm = ((counted := _CountedList(d), *rest),)
+    assert va.smallest_eigenvalue(H) == expected
+    assert counted.passes < 50
+
+
+def test_rayleigh_bound_without_an_eigenvalue_below_raises():
+    # constant diagonal, zero off-diagonal and constant mass: every
+    # eigenvalue is 1.0 / 0.1 = 10.0, and so is the Rayleigh quotient of the
+    # constant field in exact arithmetic; its rounded sums give
+    # 9.999999999999998, below the eigenvalue, so the upper end holds none
+    n = 17
+    H = va.HessianForm(np.ones((2, n)), np.zeros((2, n - 1)),
+                       np.full(n, 0.1), 1.0, n - 1)
+    assert H.count_below(10.0) == 2 * n
+    with pytest.raises(ArithmeticError, match="Rayleigh quotient"):
+        va.smallest_eigenvalue(H)
+    # a quotient that rounds onto the eigenvalue holds it: a zero pivot
+    # counts as negative, as in dstebz
+    H = va.HessianForm(np.full((2, n), 2.0), np.zeros((2, n - 1)),
+                       np.ones(n), 1.0, n - 1)
+    assert va.smallest_eigenvalue(H) == 2.0
 
 
 @pytest.mark.parametrize("length", [1.0, 2.5, 4.0])
@@ -112,6 +179,7 @@ def test_negative_smallest_eigenvalue_matches_dense_solve(length):
     dense = eigh(A, np.diag(H.mass), eigvals_only=True)
     assert dense[0] < 0 and va.index_nullity(H)[0] > 0
     assert va.smallest_eigenvalue(H) == pytest.approx(dense[0], rel=1e-10)
+    assert va.smallest_eigenvalue(H) == bisection_eigenvalue(H)
 
 
 def test_hessian_routes_agree():
