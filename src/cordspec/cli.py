@@ -219,11 +219,12 @@ def _validate_scalar_schema(rep, float_keys):
 def run_index(cfg: RunConfig, no_assert=False, constant_chord=False) -> tuple:
     cfg.validate()
     if constant_chord:
-        ker, coker = variational.constant_chord_hessian(N=cfg.mesh_size)
+        a0 = 1.0  # the kernel is dim T = 2 at every height; --height is unread
+        ker, coker = variational.constant_chord_hessian(a0, cfg.mesh_size)
         ok = (ker == 2 and coker == 2)
         report = {"subcommand": "index", "ok": ok or no_assert,
                   "constant_chord": {"kernel": ker, "cokernel": coker},
-                  "mesh_size": cfg.mesh_size}
+                  "mesh_size": cfg.mesh_size, "height": a0}
         return (EXIT_OK if report["ok"] else EXIT_ASSERT), report
     rep = _load_rep(cfg.input_path)
     a0 = _resolve_height(cfg.height, rep)

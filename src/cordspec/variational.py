@@ -334,38 +334,40 @@ def constant_chord_hessian(a0: float = 1.0, N: int = 128) -> tuple:
 
     No equation or endpoint row mixes the coordinates c = 0, 1, 2, so the
     system is block diagonal with one block per coordinate over the unknowns
-    (dq_c, dp_c).  Its singular values are the union of the blocks', and the
-    rank is counted against one tolerance over all of them.  The x and y
-    blocks are the same matrix, so it is factored once and counted twice.
+    (dq_c, dp_c) at nodes 0..N.  Its 2N interior rows, the midpoint rule
+    (dq_{k+1} - dq_k)/h = a0^2 (dp_k + dp_{k+1})/2 and the difference rule
+    (dp_{k+1} - dp_k)/h = 0, are triangular over the unknowns at nodes
+    1..N with diagonal 1/h.  So they have full row rank 2N, and their
+    solutions are exactly the combinations of the two discrete fundamental
+    solutions started from (dq_0, dp_0) = e_1, e_2.  The block's rank is
+    therefore exact: 2N plus the rank of its two endpoint rows applied to
+    those two solutions, a 2 x 2 matrix.  dq and dp carry different units,
+    so its nonzero columns are normalized before its singular values meet
+    the tolerance, and the count does not move with a0 or N.  The x and y
+    blocks have the same endpoint rows, so they are counted twice.
 
     Each block is square, 2N + 2 rows (N + N equations and 2 endpoint rows)
     over 2N + 2 unknowns, so ``cokernel_dim`` equals ``kernel_dim`` by
     construction: the cokernel count checks nothing beyond the kernel.
     """
     h = 1.0 / N
-    n = N + 1
-    k = np.arange(N)
+    # the fundamental solutions as columns: dp_{k+1} = dp_k, and dq_{k+1} =
+    # dq_k + h a0^2 (dp_k + dp_{k+1})/2, from (dq_0, dp_0) = e_1, e_2
+    dp = np.repeat([[0.0, 1.0]], N + 1, axis=0)
+    dq = np.cumsum(np.vstack([[1.0, 0.0],
+                              h * a0**2 * (dp[:-1] + dp[1:]) / 2.0]), axis=0)
 
-    def block(fixed):
-        # unknowns: dq_c at nodes 0..N, then dp_c at nodes 0..N
-        L = np.zeros((2 * n, 2 * n))
-        # (dq_{k+1} - dq_k)/h - a0^2 (dp_k + dp_{k+1})/2 = 0
-        L[k, k + 1] = 1.0 / h
-        L[k, k] = -1.0 / h
-        L[k, n + k] = -a0**2 / 2.0
-        L[k, n + k + 1] = -a0**2 / 2.0
-        # (dp_{k+1} - dp_k)/h = 0
-        L[N + k, n + k + 1] = 1.0 / h
-        L[N + k, n + k] = -1.0 / h
+    def rank(fixed):
         # boundary: the fixed unknown vanishes at both ends
-        L[2 * N, fixed] = 1.0
-        L[2 * N + 1, fixed + N] = 1.0
-        return L.shape, np.linalg.svd(L, compute_uv=False)
+        ends = fixed[[0, N]]
+        norms = np.linalg.norm(ends, axis=0)
+        nonzero = norms > 0
+        return 2 * N + int(np.linalg.matrix_rank(
+            ends[:, nonzero] / norms[nonzero], tol=1e-8))
 
-    # dp_x = dp_y = 0 at both ends (fixed = n, twice); dq_z = 0 (fixed = 0)
-    blocks = [(2, *block(n)), (1, *block(0))]  # (multiplicity, shape, sv)
-    tol = 1e-8 * max(sv[0] for _, _, sv in blocks)
-    rank = sum(m * int(np.sum(sv > tol)) for m, _, sv in blocks)
-    kernel_dim = sum(m * cols for m, (_, cols), _ in blocks) - rank
-    cokernel_dim = sum(m * rows for m, (rows, _), _ in blocks) - rank
+    # dp_x = dp_y = 0 at both ends (twice); dq_z = 0 at both ends
+    blocks = [(2, rank(dp)), (1, rank(dq))]  # (multiplicity, rank)
+    rows = cols = 2 * N + 2
+    kernel_dim = sum(m * (cols - r) for m, r in blocks)
+    cokernel_dim = sum(m * (rows - r) for m, r in blocks)
     return kernel_dim, cokernel_dim

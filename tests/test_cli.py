@@ -165,6 +165,10 @@ def test_index_constant_chord(capsys):
     assert code == 0
     assert rep["constant_chord"] == {"kernel": 2, "cokernel": 2}
     assert rep["mesh_size"] == 128
+    # the height it ran at, which --height does not set
+    assert rep["height"] == 1.0
+    _, rep, _ = run(capsys, ["index", "--constant-chord", "--height", "1.2"])
+    assert rep["height"] == 1.0
 
 
 def test_index_small_cutoff(capsys, tmp_path):

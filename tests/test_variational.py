@@ -212,6 +212,55 @@ def test_constant_chord_kernel_cokernel():
     assert va.constant_chord_hessian(1.0, N=256) == (2, 2)
 
 
+def dense_constant_chord_count(a0, N):
+    """Kernel and cokernel dimensions of the constant-chord problem from
+    dense SVDs of its (2N + 2)-square coordinate blocks, one tolerance over
+    all their singular values: the count before the propagator reduction,
+    kept as its oracle where that tolerance still separates the ranks."""
+    h = 1.0 / N
+    n = N + 1
+    k = np.arange(N)
+
+    def block(fixed):
+        # unknowns: dq_c at nodes 0..N, then dp_c at nodes 0..N
+        L = np.zeros((2 * n, 2 * n))
+        # (dq_{k+1} - dq_k)/h - a0^2 (dp_k + dp_{k+1})/2 = 0
+        L[k, k + 1] = 1.0 / h
+        L[k, k] = -1.0 / h
+        L[k, n + k] = -a0**2 / 2.0
+        L[k, n + k + 1] = -a0**2 / 2.0
+        # (dp_{k+1} - dp_k)/h = 0
+        L[N + k, n + k + 1] = 1.0 / h
+        L[N + k, n + k] = -1.0 / h
+        # boundary: the fixed unknown vanishes at both ends
+        L[2 * N, fixed] = 1.0
+        L[2 * N + 1, fixed + N] = 1.0
+        return L.shape, np.linalg.svd(L, compute_uv=False)
+
+    # dp_x = dp_y = 0 at both ends (fixed = n, twice); dq_z = 0 (fixed = 0)
+    blocks = [(2, *block(n)), (1, *block(0))]  # (multiplicity, shape, sv)
+    tol = 1e-8 * max(sv[0] for _, _, sv in blocks)
+    rank = sum(m * int(np.sum(sv > tol)) for m, _, sv in blocks)
+    kernel_dim = sum(m * cols for m, (_, cols), _ in blocks) - rank
+    cokernel_dim = sum(m * rows for m, (rows, _), _ in blocks) - rank
+    return kernel_dim, cokernel_dim
+
+
+@pytest.mark.parametrize("N", [1, 2, 16, 64, 128, 256])
+@pytest.mark.parametrize("a0", [0.5, 1.0, 2.0])
+def test_constant_chord_count_matches_dense_svd(a0, N):
+    assert va.constant_chord_hessian(a0, N) == \
+        dense_constant_chord_count(a0, N)
+
+
+@pytest.mark.parametrize("N", [1, 2, 64, 4096, 2**16])
+@pytest.mark.parametrize("a0", [1e-4, 1e-2, 1.0, 1e2, 1e4])
+def test_constant_chord_count_free_of_scale_and_mesh(a0, N):
+    # the dense count printed 3, 4 and 97 at (a0, N) = (0.01, 256),
+    # (100, 256) and (1000, 256): its one tolerance mixed dq and dp scales
+    assert va.constant_chord_hessian(a0, N) == (2, 2)
+
+
 def test_enumerated_cords_all_stable(fig8):
     for _, g, _ in ce.canonical_classes(fig8, A0, 2.0):
         cord = ce.cord_for_class(g, A0)
