@@ -21,7 +21,7 @@ from . import variational
 from .hyperbolic_core import PointH3, TangentVec, christoffel, christoffel_fd, \
     inner, riemann_fd
 from .flow_integrator import CotangentState
-from .isometry_group import (BudgetExceeded, load_presentation,
+from .isometry_group import (BudgetExceeded, CoverError, load_presentation,
                              verify_presentation)
 
 EXIT_OK = 0
@@ -74,7 +74,7 @@ def _load_rep(path):
 
 def _resolve_height(height, rep):
     if height == "auto":
-        return cord_engine.embedded_height(rep)
+        return cord_engine.max_embedded_height(rep)
     return float(height)
 
 
@@ -203,7 +203,8 @@ def run_spectrum(cfg: RunConfig, out_path=None) -> tuple:
             spec.write_json(out_path)
     report = {"subcommand": "spectrum", "ok": True, "height": a0,
               "cutoff": cfg.cutoff, "classes": len(spec.entries),
-              "shortest": spec.entries[0].length if spec.entries else None}
+              "shortest": spec.entries[0].length if spec.entries else None,
+              "complete": True, "stats": spec.stats}
     _validate_scalar_schema(report, ("height", "cutoff"))
     return EXIT_OK, report
 
@@ -219,7 +220,7 @@ def _validate_scalar_schema(rep, float_keys):
 def run_index(cfg: RunConfig, no_assert=False, constant_chord=False) -> tuple:
     cfg.validate()
     if constant_chord:
-        a0 = 1.0  # the kernel is dim T = 2 at every height; --height is unread
+        a0 = 1.0  # the kernel is dim T = 2 at every height
         ker, coker = variational.constant_chord_hessian(a0, cfg.mesh_size)
         ok = (ker == 2 and coker == 2)
         report = {"subcommand": "index", "ok": ok or no_assert,
@@ -232,20 +233,25 @@ def run_index(cfg: RunConfig, no_assert=False, constant_chord=False) -> tuple:
         classes = cord_engine.canonical_classes(rep, a0, cfg.cutoff)
     except ValueError as e:
         raise ConfigError(str(e))
-    # at one height the Hessian depends on the cord only through its length
+    # at one height the Hessian depends on the cord only through its
+    # length: one solve per length rounded to 9 digits, the key that orders
+    # the rows, so float noise in the length neither splits it nor prints
+    # two eigenvalues for it
     rows, spectra = [], {}
     for word, g, ell in classes:
-        if ell not in spectra:
+        key = round(ell, 9)
+        if key not in spectra:
             H = variational.hessian(cord_engine.cord_for_class(g, a0),
                                     N=cfg.mesh_size)
-            spectra[ell] = (*variational.index_nullity(H),
+            spectra[key] = (*variational.index_nullity(H),
                             variational.smallest_eigenvalue(H))
-        idx, nul, lam = spectra[ell]
+        idx, nul, lam = spectra[key]
         rows.append({"class_word": word, "length": ell, "index": idx,
                      "nullity": nul, "min_eigenvalue": lam})
     ok = all(r["index"] == 0 and r["nullity"] == 0 for r in rows)
     report = {"subcommand": "index", "ok": ok or no_assert, "height": a0,
-              "cutoff": cfg.cutoff, "mesh_size": cfg.mesh_size, "rows": rows}
+              "cutoff": cfg.cutoff, "mesh_size": cfg.mesh_size, "rows": rows,
+              "complete": True, "stats": classes.stats}
     return (EXIT_OK if report["ok"] else EXIT_ASSERT), report
 
 
@@ -307,10 +313,14 @@ def _build_parser():
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def common(s):
-        s.add_argument("--input", default=None, dest="input_path",
-                       metavar="FILE", help="holonomy JSON file")
-        s.add_argument("--height", default="auto")
-        s.add_argument("--cutoff", type=float, default=4.0)
+        # left out of the namespace when not given, so that index
+        # --constant-chord can tell them apart; RunConfig has the defaults
+        # (input: the figure-eight, height: auto, cutoff: 4.0)
+        s.add_argument("--input", default=argparse.SUPPRESS,
+                       dest="input_path", metavar="FILE",
+                       help="holonomy JSON file")
+        s.add_argument("--height", default=argparse.SUPPRESS)
+        s.add_argument("--cutoff", type=float, default=argparse.SUPPRESS)
         return s
 
     v = sub.add_parser("verify")
@@ -349,7 +359,14 @@ def _cfg_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    ap = _build_parser()
+    args = ap.parse_args(argv)
+    unread = {"input_path": "--input", "height": "--height",
+              "cutoff": "--cutoff"}
+    if getattr(args, "constant_chord", False) and unread.keys() & vars(args):
+        # the constant chord is the same at every height and reads no group
+        ap.error("argument --constant-chord: not allowed with "
+                 + ", ".join(o for k, o in unread.items() if k in vars(args)))
     try:
         if args.cmd == "torus":
             code, report = run_torus(args.p, args.q, args.ambient,
@@ -366,9 +383,15 @@ def main(argv=None) -> int:
             else:
                 code, report = run_triangle(cfg, args.classes,
                                             out_path=args.out)
-    except (ConfigError, BudgetExceeded) as e:
+    except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
+    except (BudgetExceeded, CoverError) as e:
+        # the torus walk's cap bounds what --max-length may ask for; a flood
+        # that ran out of budget or found no cover has no proof that its
+        # class list is complete, so no list is printed
+        print(f"error: {e}", file=sys.stderr)
+        return EXIT_CONFIG if args.cmd == "torus" else EXIT_ASSERT
     print(json.dumps(report, indent=1, default=float))
     return code
 

@@ -1,21 +1,22 @@
 """Geodesic cords of a horo-torus: common perpendiculars between horoballs,
-closed-form lengths, z-profiles, and action spectrum enumeration over
-peripheral double cosets."""
+closed-form lengths, z-profiles, and the action spectrum over the
+peripheral double cosets that the Ford-descent flood enumerates."""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .hyperbolic_core import PointH3
 from .isometry_group import (INFINITY, PERIPHERAL_TOL, GroupPresentation,
                              Horoball, Moebius, apply_boundary, apply_h3,
-                             double_coset_canonical, enumerate_elements,
-                             image_horoball, lattice_key, spell)
+                             canonical_entries, enumerate_elements,
+                             ford_moves, image_horoball)
 
 # a0 |c(g)| <= 1 + TANGENT_TOL: the horoballs of g's class touch or overlap
 TANGENT_TOL = 1e-9
@@ -155,7 +156,7 @@ class SpectrumEntry:
 
 
 _ENTRY_JSON = ('  {\n   "class_word": %s,\n   "length": %r,\n   "energy": %r,'
-               '\n   "action": %r,\n   "f0": %r,\n   "b0": %r\n  }')
+               '\n   "action": %r,\n   "f0": %s,\n   "b0": %s\n  }')
 
 
 @dataclass
@@ -163,6 +164,7 @@ class ActionSpectrum:
     entries: list
     cutoff: float
     horoball_height: float
+    stats: dict = field(default_factory=dict)  # how the flood found them
 
     def lengths(self) -> list:
         return [e.length for e in self.entries]
@@ -170,15 +172,19 @@ class ActionSpectrum:
     def to_json(self) -> str:
         """``json.dumps`` of {cutoff, horoball_height, entries} with
         indent=1, byte for byte, without its pure-Python indenting encoder:
-        each entry fills a fixed template, its finite floats written by
-        ``float.__repr__`` as json writes them."""
+        each entry fills a fixed template, its words quoted and its finite
+        floats written by ``float.__repr__`` as json writes them; f0 and b0,
+        which the entries share, are written once."""
         head = '{\n "cutoff": %s,\n "horoball_height": %s,\n "entries": ' % (
             json.dumps(self.cutoff), json.dumps(self.horoball_height))
         if not self.entries:
             return head + "[]\n}"
+        shared = {x: repr(x) for x in {e.f0 for e in self.entries}
+                  | {e.b0 for e in self.entries}}
         return head + "[\n" + ",\n".join(_ENTRY_JSON % (
-            json.dumps(e.class_word), e.length, e.energy, e.action, e.f0,
-            e.b0) for e in self.entries) + "\n ]\n}"
+            encode_basestring_ascii(e.class_word), e.length, e.energy,
+            e.action, shared[e.f0], shared[e.b0])
+            for e in self.entries) + "\n ]\n}"
 
     def write_csv(self, path):
         with open(path, "w", newline="") as f:
@@ -193,81 +199,68 @@ class ActionSpectrum:
             f.write(self.to_json())
 
 
-_EMBEDDED_SEARCH_WORD_LEN = 8
-
-
 def max_embedded_height(rep: GroupPresentation) -> float:
     """Smallest height a0 such that the translates of {z >= a0} are pairwise
-    disjoint: 1 / min |c| over the non-peripheral elements of word length
-    at most ``_EMBEDDED_SEARCH_WORD_LEN``.
-
-    Returns the default 1.0 when the group has no element with c != 0.
-    """
-    cmax = math.exp(12.0 / 2.0)  # cords of length up to 12 at a0 = 1
-    best = math.inf
-    for g, _, _ in enumerate_elements(rep, max_radius=12.0,
-                                      max_word_len=_EMBEDDED_SEARCH_WORD_LEN):
-        ac = np.abs(g[2])
-        best = np.min(ac[(ac <= cmax + 1e-12) & (ac >= PERIPHERAL_TOL)],
-                      initial=best)
-    return 1.0 if best == math.inf else 1.0 / float(best)
-
-
-def embedded_height(rep: GroupPresentation) -> float:
-    """``max_embedded_height(rep)``, computed once per presentation and kept
-    on it."""
-    if rep.embedded_height is None:
-        rep.embedded_height = max_embedded_height(rep)
-    return rep.embedded_height
+    disjoint: 1 / min |c| over the non-peripheral elements, which is
+    1 / min |c_k| over the moves of ``ford_moves``.  An element g of least
+    |c| has its center in a move's disk, and k^{-1} T_{-v} g, with smaller
+    |c|, must be peripheral: g lies in k's class."""
+    return 1.0 / ford_moves(rep).least_c
 
 
 def check_embedded(rep: GroupPresentation, a0: float) -> None:
     """Raise ValueError when a0 is below the embedded-height threshold."""
-    a_min = embedded_height(rep)
+    a_min = max_embedded_height(rep)
     if a0 < a_min - 1e-9:
         raise ValueError(
             f"height {a0} below embedded threshold {a_min}: horoballs overlap")
 
 
-def canonical_classes(rep: GroupPresentation, a0: float, Lmax: float,
-                      max_word_len: int = 10) -> list:
+class ClassList(list):
+    """The triples of ``canonical_classes``, with the flood's ``stats``."""
+
+    stats: dict
+
+
+def canonical_classes(rep: GroupPresentation, a0: float,
+                      Lmax: float) -> ClassList:
     """(word, canonical double-coset representative, cord length) of each
     class with nondegenerate cord length <= Lmax, sorted by (length rounded
     to 9 digits, word); ValueError if a0 is below the embedded threshold.
-    A class is named by the ``lattice_key`` of its center on the level
-    arrays and keeps its first row, whose word is the shortlex-least word
-    found for it; the new classes of a level are spelled together."""
+    The classes and their words come from the flood of
+    ``enumerate_elements``, which is complete up to the cutoff; tangent
+    classes are steps of the flood and are left out here.  ``stats`` holds
+    the moves (how many, least |c|, cover margin), the levels, the steps
+    tried, the classes the flood kept and the reason it stopped."""
     check_embedded(rep, a0)
-    cmax = math.exp(Lmax / 2.0) / a0
-    names = sorted(rep.letters())
-    levels, known, classes = [], np.empty(0, complex), []
-    for g, parent, letter in enumerate_elements(rep, max_radius=Lmax, a0=a0,
-                                                max_word_len=max_word_len):
-        levels.append((parent, letter))
-        ac = np.abs(g[2])
-        # not peripheral, not tangent (a degenerate class), within the cutoff
-        rows = np.flatnonzero((ac <= cmax + 1e-12) & (ac >= PERIPHERAL_TOL)
-                              & (a0 * ac > 1.0 + TANGENT_TOL))
-        rows = rows[2.0 * np.log(a0 * ac[rows]) <= Lmax + 1e-12]
-        keys, first = np.unique(lattice_key(g[0, rows] / g[2, rows], rep),
-                                return_index=True)
-        new = ~np.isin(keys, known, assume_unique=True)
-        known = np.concatenate([known, keys[new]])
-        rows = rows[first[new]]
-        words = spell(levels, len(levels) - 1, rows, names)
-        for word, entries in zip(words.T.tolist(), g[:, rows].T.tolist()):
-            # the row's own entries: Moebius() would divide by sqrt(det)
-            h = Moebius.__new__(Moebius)
-            h.a, h.b, h.c, h.d = entries
-            cg = double_coset_canonical(h, rep)
-            classes.append(("".join(word), cg, cord_length(cg, a0)))
-    return sorted(classes, key=lambda c: (round(c[2], 9), c[0]))
+    found, words, steps = [], [], 0
+    for g, w, s in enumerate_elements(rep, max_radius=Lmax, a0=a0):
+        found.append(g)
+        words += w
+        steps += s
+    g = np.concatenate(found, axis=1) if found else np.empty((4, 0), complex)
+    ac = np.abs(g[2])
+    ell = 2.0 * np.log(a0 * ac)
+    # not tangent (a degenerate class), within the cutoff
+    rows = np.flatnonzero((a0 * ac > 1.0 + TANGENT_TOL) & (ell <= Lmax + 1e-12))
+    words, ell = np.array(words, dtype=str)[rows], ell[rows]
+    order = np.lexsort((words, np.round(ell, 9)))
+    cg = canonical_entries(g[:, rows[order]], rep)
+    out = ClassList(zip(words[order].tolist(),
+                        [Moebius(*e) for e in cg.T.tolist()],
+                        ell[order].tolist()))
+    moves = ford_moves(rep)
+    out.stats = {"moves": len(moves.words), "least_c": moves.least_c,
+                 "cover_margin": moves.margin, "levels": len(found),
+                 "steps": steps, "kept": g.shape[1], "stop": "exhausted"}
+    return out
 
 
 def enumerate_cords(rep: GroupPresentation, a0: float,
                     Lmax: float) -> ActionSpectrum:
     """Action spectrum: one entry per ``canonical_classes`` triple."""
+    classes = canonical_classes(rep, a0, Lmax)
     return ActionSpectrum([SpectrumEntry(w, ell, 0.5 * ell**2, -0.5 * ell**2,
                                          1.0 / a0, 1.0 / a0)
-                           for w, _, ell in canonical_classes(rep, a0, Lmax)],
-                          Lmax, a0)
+                           for w, _, ell in classes],
+                          Lmax, a0, classes.stats)

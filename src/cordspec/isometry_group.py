@@ -1,11 +1,10 @@
 """PSL(2,C) isometries of H^3: Moebius action, Poincare extension,
-horoball images, presentation checks, and pruned word / double coset
-enumeration for cusped-manifold holonomy groups."""
+horoball images, presentation checks, the breadth-first word search, and
+the Ford-descent flood over the cord classes of a cusped holonomy group."""
 
 from __future__ import annotations
 
 import cmath
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -149,9 +148,9 @@ class GroupPresentation:
     meridian: str
     longitude: str
     cusp_lattice: list = field(default_factory=list)  # [[m_re, m_im], [l_re, l_im]]
-    # set by cord_engine.embedded_height on first use
-    embedded_height: float | None = field(default=None, init=False,
-                                          compare=False, repr=False)
+    # set by ford_moves on first use
+    moves: "FordMoves | None" = field(default=None, init=False,
+                                      compare=False, repr=False)
 
     def letters(self) -> dict:
         table = {}
@@ -229,6 +228,11 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
+class CoverError(RuntimeError):
+    """The word search ended before the isometric disks of its classes
+    covered the plane, so no flood over them is complete."""
+
+
 # A row of Moebius maps is one column (a, b, c, d) of a complex (4, n) array.
 
 def _entries(maps) -> np.ndarray:
@@ -251,30 +255,25 @@ def _psl_keys(g) -> list:
     return k.view(np.dtype((np.void, k.strides[0]))).ravel().tolist()
 
 
-def reduced_levels(letters, inverse, keep, max_elements: int,
-                   max_word_len: int | None = None):
+def reduced_levels(letters, inverse, keep, max_elements: int):
     """Breadth-first search over the freely reduced words in the k rows of
     ``letters`` (complex, or real for a group in PSL(2, R)), where letter
     inverse[i] cancels letter i.  Yields each level as (rows, parent row,
     last letter), the identity first (parent None).  Within a level the
     words are in shortlex order: by parent row, then by letter.
     A word is kept if ``keep(h)``, a bool mask over the child columns h
-    (called on blocks of them), accepts its element.
-    - With ``max_word_len``, every such word is a row, up to that many
-      letters, and an element may recur under later words: its first
-      row is its shortlex-least kept word.
-    - Without it, a word is dropped when its element was kept before, in
-      PSL, and the search stops at a level that adds nothing.
-    Raises BudgetExceeded past ``max_elements`` kept rows."""
+    (called on blocks of them), accepts its element and that element was
+    not kept before, in PSL; so each element's row carries its
+    shortlex-least kept word.  The search stops at a level that adds
+    nothing, and raises BudgetExceeded past ``max_elements`` kept rows."""
     k = letters.shape[1]
     inverse = np.append(inverse, -1)  # the identity's last letter k has none
     g = np.array([[1], [0], [0], [1]], dtype=letters.dtype)  # the identity
     last = np.array([k])
     yield g, None, last
-    seen = set(_psl_keys(g)) if max_word_len is None else None
+    seen = set(_psl_keys(g))
     kept = 0
-    for _ in (itertools.count() if max_word_len is None
-              else range(max_word_len)):
+    while True:
         # every row times every letter; keep runs on blocks of columns
         # small enough to stay in cache
         h = _compose(g[:, :, None], letters[:, None]).reshape(4, -1)
@@ -282,20 +281,17 @@ def reduced_levels(letters, inverse, keep, max_elements: int,
                              for i in range(0, h.shape[1], 4096)])
         ok &= (np.arange(k) != inverse[last][:, None]).ravel()
         parent, letter = np.divmod(np.flatnonzero(ok), k)
-        h = h[:, ok]
-        if seen is not None:
-            new = []
-            for i, key in enumerate(_psl_keys(h)):
-                if key not in seen:
-                    seen.add(key)
-                    new.append(i)
-            h, parent, letter = h[:, new], parent[new], letter[new]
-        kept += h.shape[1]
+        new = []
+        for i, key in enumerate(_psl_keys(h[:, ok])):
+            if key not in seen:
+                seen.add(key)
+                new.append(i)
+        g, parent, last = h[:, ok][:, new], parent[new], letter[new]
+        kept += len(new)
         if kept > max_elements:
             raise BudgetExceeded(f"element cap {max_elements} exceeded")
-        if not h.shape[1]:
+        if not new:
             return
-        g, last = h, letter
         yield g, parent, last
 
 
@@ -312,27 +308,236 @@ def spell(levels, depth: int, rows, names) -> np.ndarray:
     return np.asarray(names)[np.array(word[::-1], dtype=int)]
 
 
-def enumerate_elements(rep: GroupPresentation, max_radius: float,
-                       a0: float = 1.0, max_word_len: int = 14,
-                       max_elements: int = 2_000_000,
-                       margin: float = 8.0):
-    """The levels of ``reduced_levels`` over the freely reduced words in
-    the generators, letter i being ``sorted(rep.letters())[i]``.
+def lattice_disks(centers, radii, mu: complex, lam: complex,
+                  limit: int = 2_000_000) -> tuple:
+    """The lattice vectors v = m mu + n lam with |v - centers[i]| <=
+    radii[i], for arrays of disks, as arrays (i, m, n) ordered by disk,
+    then m, then n ascending.  Each disk's m run over the range of its s
+    coordinate, and each (disk, m) its n between the roots of
+    |n lam - (center - m mu)| = radius.  Raises BudgetExceeded, before
+    listing them, when there are more than ``limit`` vectors or (disk, m)
+    rows."""
+    centers = np.asarray(centers, dtype=complex)
+    radii = np.asarray(radii, dtype=float)
+    det = mu.real * lam.imag - lam.real * mu.imag
+    s = (centers.real * lam.imag - lam.real * centers.imag) / det
+    ds = radii * abs(lam) / abs(det)  # the s coordinate's reach
+    i, m = _runs(np.ceil(s - ds), np.floor(s + ds), limit)
+    q = centers[i] - m * mu
+    b = (q * lam.conjugate()).real / abs(lam) ** 2
+    disc = b * b - (np.abs(q) ** 2 - radii[i] ** 2) / abs(lam) ** 2
+    root = np.sqrt(np.maximum(disc, 0.0))
+    j, n = _runs(np.where(disc >= 0, np.ceil(b - root), 1.0),
+                 np.where(disc >= 0, np.floor(b + root), 0.0), limit)
+    return i[j], m[j].astype(int), n.astype(int)
 
-    A cord of length at most max_radius has a0*|c| <= e^{max_radius/2}.
-    Prefixes whose |c| exceeds that bound by ``margin`` are pruned: for
-    discrete cusped holonomies |c| grows along reduced words once it leaves
-    the peripheral subgroup, and the margin absorbs the non-monotone steps
-    (validated against an unpruned oracle in the tests).  The rows within
-    the margin stay in their level; callers select their own.
-    """
-    cmax = math.exp(max_radius / 2.0) / a0
+
+def _runs(lo, hi, limit: int) -> tuple:
+    """(j, x): for each j in order, the integers x from lo[j] to hi[j];
+    BudgetExceeded if there are more than ``limit``."""
+    count = np.maximum(hi - lo + 1, 0)
+    if count.sum() > limit:
+        raise BudgetExceeded(f"lattice vector cap {limit} exceeded")
+    count = count.astype(int)
+    j = np.repeat(np.arange(len(count)), count)
+    start = np.cumsum(count) - count
+    return j, lo[j] + (np.arange(len(j)) - start[j])
+
+
+# The most grid nodes that one cover check evaluates; past it the moves are
+# treated as not covering, and the next |c| value joins them.
+_COVER_NODES = 1 << 18
+# The most elements the word search for the moves keeps: a safety stop only,
+# as the figure-eight's moves are found among 52 elements and 5_2's among
+# a few hundred
+_MOVE_SEARCH_BUDGET = 200_000
+
+
+@dataclass(frozen=True)
+class FordMoves:
+    """Classes k whose isometric disks |c_k| |w - k(inf) - v| < 1, v in
+    the cusp lattice, cover the plane: their words, their elements as
+    columns and the proven ``margin`` of the cover."""
+
+    words: list
+    entries: np.ndarray
+    margin: float
+
+    @property
+    def least_c(self) -> float:
+        return float(np.abs(self.entries[2]).min())
+
+
+def cover_margin(rep: GroupPresentation, entries) -> float:
+    """A lower bound on 1 - sup f over the plane, where f(w) is the least
+    |c_k| |w - k(inf) - v| over the moves k (columns of ``entries``) and the
+    lattice vectors v: positive exactly when it proves that the isometric
+    disks cover the plane.
+
+    f is periodic, and Lipschitz with constant M = max |c_k|.  On a grid
+    over the fundamental parallelogram F whose nodes lie within r of every
+    point of F, sup f <= max f(node) + M r.  A grid that leaves no proof
+    but no node uncovered is refined to r <= (1 - max f(node)) / 2M, up to
+    ``_COVER_NODES`` nodes; the bound of the last grid is returned."""
+    mu, lam = rep.lattice_vectors()
+    ac = np.abs(entries[2])
+    z, M = entries[0] / entries[2], ac.max()
+    # every disk translate that meets F, which lies in the disk about its
+    # middle of radius half its longer diagonal
+    mid = (mu + lam) / 2
+    i, m, n = lattice_disks(mid - z, 1.0 / ac + max(abs(mu + lam),
+                                                    abs(mu - lam)) / 2,
+                            mu, lam)
+    centers, scale = z[i] + m * mu + n * lam, ac[i]
+    h = min(abs(mu), abs(lam)) / 8
+    while True:
+        ns, nt = math.ceil(abs(mu) / h), math.ceil(abs(lam) / h)
+        r = (abs(mu) / ns + abs(lam) / nt) / 2
+        nodes = (np.arange(ns + 1)[:, None] / ns * mu
+                 + np.arange(nt + 1) / nt * lam).ravel()
+        f = max(float((scale * np.abs(block[:, None] - centers)).min(axis=1)
+                      .max()) for block in np.split(
+                          nodes, range(4096, len(nodes), 4096)))
+        bound = float(1.0 - f - M * r)
+        if bound > 0 or f >= 1.0:
+            return bound
+        h = min(h / 2, (1.0 - f) / (2 * M))
+        if (abs(mu) / h + 2) * (abs(lam) / h + 2) > _COVER_NODES:
+            return bound
+
+
+def ford_moves(rep: GroupPresentation) -> FordMoves:
+    """The moves of the flood, found once per presentation and kept on it.
+
+    A breadth-first search over the reduced words, deduplicated in PSL,
+    collects the non-peripheral classes by ``lattice_key``, each with its
+    shortlex-least word.  After each level the classes are taken in order
+    of |c| (rounded to 9 digits), a whole |c| value at a time, and the
+    first prefix whose disks pass ``cover_margin`` is the moves.  Raises
+    CoverError when the search ends with no such prefix, BudgetExceeded
+    past its element budget."""
+    if rep.moves is not None:
+        return rep.moves
     table = rep.letters()
     names = sorted(table)
-    return reduced_levels(_entries(table[ch] for ch in names),
-                          [names.index(ch.swapcase()) for ch in names],
-                          lambda h: np.abs(h[2]) <= margin * cmax,
-                          max_elements, max_word_len)
+    levels, known, words, found = [], np.empty(0, complex), [], []
+    for g, parent, letter in reduced_levels(
+            _entries(table[ch] for ch in names),
+            [names.index(ch.swapcase()) for ch in names],
+            lambda h: np.ones(h.shape[1], bool), _MOVE_SEARCH_BUDGET):
+        levels.append((parent, letter))
+        rows = np.flatnonzero(np.abs(g[2]) >= PERIPHERAL_TOL)
+        keys, first = np.unique(lattice_key(g[0, rows] / g[2, rows], rep),
+                                return_index=True)
+        new = ~np.isin(keys, known, assume_unique=True)
+        if not new.any():
+            continue
+        known = np.concatenate([known, keys[new]])
+        rows = np.sort(rows[first[new]])  # shortlex order
+        words += ["".join(w) for w in
+                  spell(levels, len(levels) - 1, rows, names).T.tolist()]
+        found.append(g[:, rows])
+        entries = np.concatenate(found, axis=1)
+        ac = np.round(np.abs(entries[2]), 9)
+        order = np.argsort(ac, kind="stable")
+        # the prefixes that end with a whole |c| value
+        for end in np.flatnonzero(np.diff(np.append(ac[order], np.inf))):
+            prefix = order[:end + 1]
+            margin = cover_margin(rep, entries[:, prefix])
+            if margin > 0:
+                rep.moves = FordMoves([words[i] for i in prefix],
+                                      entries[:, prefix], margin)
+                return rep.moves
+    raise CoverError(f"the classes of {rep.name}'s word search do not "
+                     "cover the plane with their isometric disks")
+
+
+def _join(u: str, v: str) -> str:
+    """The reduced words u and v concatenated, reduced at the join."""
+    if not (u and v and u[-1] == v[0].swapcase()):
+        return u + v
+    i, n = 1, min(len(u), len(v))
+    while i < n and u[-1 - i] == v[i].swapcase():
+        i += 1
+    return u[:len(u) - i] + v[i:]
+
+
+def enumerate_elements(rep: GroupPresentation, max_radius: float,
+                       a0: float = 1.0, max_elements: int = 2_000_000):
+    """The Ford-descent flood over the cord classes g with
+    |c| <= cmax = e^{max_radius/2} / a0: yields each level as (entries,
+    words, steps tried), the level's new classes in ``lattice_key`` order.
+
+    With the moves K of ``ford_moves``, every class descends to the cusp
+    through strictly smaller |c|: its center w lies in a disk of a move k,
+    and k^{-1} T_{-v} g has |c| = |c_g| |c_k| |w - k(inf) - v| < |c_g|.
+    Read backwards, every class is reached from the identity by steps
+    g -> k T_v g along which |c| rises, and stays <= cmax.  Level 1 is the
+    moves; a step from g takes each move k and each v = m mu + n lam in the
+    disk |v + a_g/c_g + d_k/c_k| <= cmax / (|c_g| |c_k|), where
+    c(k T_v g) = c_g c_k (v + a_g/c_g + d_k/c_k), and keeps the steps whose
+    |c| rises.  A class is kept once, by the first step that reaches it:
+    parents in key order, then moves, then lattice vectors in the order of
+    ``lattice_disks``; only those steps are composed.  Its word is the
+    move's word, then meridian^m longitude^n, then the parent's word, each
+    join freely reduced.  Every candidate parent has smaller |c|, so the
+    word depends neither on cmax nor on a0.  The flood stops at a level
+    that adds no class, and raises BudgetExceeded past ``max_elements``
+    steps tried."""
+    moves = ford_moves(rep)
+    cmax = math.exp(max_radius / 2.0) / a0 * (1.0 + 1e-9)
+    mu, lam = rep.lattice_vectors()
+    k = moves.entries
+    kc = np.abs(k[2])
+    shift = k[3] / k[2]
+
+    def prefix(j, m, n):
+        """The move's word, then meridian^m longitude^n."""
+        t = moves.words[j]
+        for w, e in ((rep.meridian, m), (rep.longitude, n)):
+            for _ in range(abs(e)):
+                t = _join(t, w if e > 0 else w[::-1].swapcase())
+        return t
+
+    rows = np.flatnonzero(kc <= cmax)
+    keys = lattice_key(k[0, rows] / k[2, rows], rep)
+    order = np.argsort(keys)
+    g, known = k[:, rows[order]], keys[order]
+    words = [moves.words[j] for j in rows[order].tolist()]
+    steps = tried = len(kc)
+    while words:
+        yield g, words, steps
+        w, gc = g[0] / g[2], np.abs(g[2])
+        centers = -(w[:, None] + shift).ravel()
+        try:
+            disk, m, n = lattice_disks(
+                centers, (cmax / np.outer(gc, kc)).ravel(), mu, lam,
+                max_elements - tried)
+        except BudgetExceeded:
+            raise BudgetExceeded(f"step cap {max_elements} exceeded") from None
+        steps = len(disk)
+        tried += steps
+        parent, j = np.divmod(disk, len(kc))
+        v = m * mu + n * lam
+        rise = np.flatnonzero(np.abs(v - centers[disk]) * kc[j]
+                              > 1.0 + 1e-9)
+        z = w[parent[rise]] + v[rise]
+        kj = k[:, j[rise]]
+        keys, first = np.unique(lattice_key((kj[0] * z + kj[1])
+                                            / (kj[2] * z + kj[3]), rep),
+                                return_index=True)
+        new = ~np.isin(keys, known, assume_unique=True)
+        known = np.concatenate([known, keys[new]])
+        step = rise[first[new]]  # the first step into each new class
+        # k T_v g, with T_v g = [[a + v c, b + v d], [c, d]]
+        p, vs = g[:, parent[step]], v[step]
+        g = _compose(k[:, j[step]], np.array([p[0] + vs * p[2],
+                                              p[1] + vs * p[3], p[2], p[3]]))
+        jmn, at = np.unique(np.array([j[step], m[step], n[step]]), axis=1,
+                            return_inverse=True)
+        heads = [prefix(*x) for x in jmn.T.tolist()]
+        words = [_join(heads[i], words[q])
+                 for i, q in zip(at.tolist(), parent[step].tolist())]
 
 
 def _lattice_coords(w, mu: complex, lam: complex) -> tuple:
@@ -359,21 +564,26 @@ def center_key(g: Moebius, rep: GroupPresentation) -> complex:
     return lattice_key(g.a / g.c, rep)
 
 
-def double_coset_canonical(g: Moebius, rep: GroupPresentation) -> Moebius:
-    """Canonical representative of the peripheral double coset of g.
+def canonical_entries(g, rep: GroupPresentation) -> np.ndarray:
+    """The canonical representatives of the peripheral double cosets of the
+    columns of g (a complex (4, n) array, none of them peripheral).
 
     Left/right multiplication by the cusp translations shifts a/c and d/c
     by lattice vectors without changing c; the representative puts both in
     the fundamental parallelogram of the cusp lattice and recomputes b from
-    the determinant.  Idempotent up to sign.
-    """
+    the determinant."""
+    mu, lam = rep.lattice_vectors()
+    c = g[2]
+    s, t = _lattice_coords(g[0] / c, mu, lam)
+    a = (s * mu + t * lam) * c
+    s, t = _lattice_coords(g[3] / c, mu, lam)
+    d = (s * mu + t * lam) * c
+    return np.array([a, (a * d - 1.0) / c, c, d])
+
+
+def double_coset_canonical(g: Moebius, rep: GroupPresentation) -> Moebius:
+    """Canonical representative of the peripheral double coset of g, by
+    ``canonical_entries``.  Idempotent up to sign."""
     if abs(g.c) < PERIPHERAL_TOL:
         raise ValueError("peripheral element has no cord class")
-    mu, lam = rep.lattice_vectors()
-    c = g.c
-    s, t = _lattice_coords(g.a / c, mu, lam)
-    a = (s * mu + t * lam) * c
-    s, t = _lattice_coords(g.d / c, mu, lam)
-    d = (s * mu + t * lam) * c
-    b = (a * d - 1.0) / c
-    return Moebius(a, b, c, d)
+    return Moebius(*canonical_entries(_entries([g]), rep)[:, 0].tolist())

@@ -12,7 +12,7 @@ from .cord_engine import (TANGENT_TOL, Cord, check_embedded,
                           common_perpendicular)
 from .isometry_group import (INFINITY, PERIPHERAL_TOL, GroupPresentation,
                              Horoball, Moebius, apply_boundary, center_key,
-                             image_horoball, is_infinity)
+                             image_horoball, is_infinity, lattice_disks)
 
 
 def _same_point(u, v, tol: float = 1e-9) -> bool:
@@ -168,9 +168,10 @@ def triangle_catalog(rep: GroupPresentation, a0: float, Lmax: float,
     realizes the classes (e0, e1, e2) when h1 = e0 and h2 = e0 p e1 for a
     peripheral translation p by v, provided h2 lies in the double coset of
     the inverse of e2.  As c(e0 p e1) = c0 c1 (v + a1/c1 + d0/c0), the
-    search runs v = m mu + n lam (m, then n ascending) over the disk of
-    radius e^{Lmax/2} / (a0 |c0| |c1|) about -(a1/c1 + d0/c0) and keeps
-    triples whose three cords are nondegenerate and no longer than Lmax.
+    search runs v = m mu + n lam over ``lattice_disks``' list of the disk
+    of radius e^{Lmax/2} / (a0 |c0| |c1|) about -(a1/c1 + d0/c0) (m, then
+    n ascending) and keeps triples whose three cords are nondegenerate and
+    no longer than Lmax.
     Purely geometric candidates; no holomorphic-triangle count is implied.
 
     a0 must be at least the embedded-height threshold of the group.
@@ -186,30 +187,24 @@ def triangle_catalog(rep: GroupPresentation, a0: float, Lmax: float,
     mu, lam = rep.lattice_vectors()
     center = -(e1.a / e1.c + e0.d / e0.c)
     radius = cmax / abs(e0.c * e1.c) * (1.0 + 1e-9)
-    # |m| <= |v| |lam / det| and |n| <= |v| |mu / det| for v = m mu + n lam
-    det = mu.real * lam.imag - lam.real * mu.imag
-    reach = abs(center) + radius  # the largest |v| in the disk
-    mmax, nmax = int(reach * abs(lam / det)), int(reach * abs(mu / det))
     B1 = image_horoball(e0, B0)
     found = []  # distinct v give distinct h2 B0, since e1 is not peripheral
-    for mi in range(-mmax, mmax + 1):
-        for ni in range(-nmax, nmax + 1):
-            v = mi * mu + ni * lam
-            if abs(v - center) > radius:
-                continue
-            h2 = e0.compose(Moebius(1, v, 0, 1)).compose(e1)
-            ac = abs(h2.c)
-            if not PERIPHERAL_TOL <= ac <= cmax or a0 * ac <= 1 + TANGENT_TOL:
-                continue
-            if center_key(h2, rep) != target:
-                continue
-            B2 = image_horoball(h2, B0)
-            tri = IdealTriangle((INFINITY, B1.center, B2.center))
-            try:
-                hexagon = truncate(tri, (B0, B1, B2))
-            except ValueError:
-                continue  # degenerate configuration (tangent horoballs)
-            found.append(hexagon)
+    _, ms, ns = lattice_disks([center], [radius], mu, lam)
+    for mi, ni in zip(ms.tolist(), ns.tolist()):
+        v = mi * mu + ni * lam
+        h2 = e0.compose(Moebius(1, v, 0, 1)).compose(e1)
+        ac = abs(h2.c)
+        if not PERIPHERAL_TOL <= ac <= cmax or a0 * ac <= 1 + TANGENT_TOL:
+            continue
+        if center_key(h2, rep) != target:
+            continue
+        B2 = image_horoball(h2, B0)
+        tri = IdealTriangle((INFINITY, B1.center, B2.center))
+        try:
+            hexagon = truncate(tri, (B0, B1, B2))
+        except ValueError:
+            continue  # degenerate configuration (tangent horoballs)
+        found.append(hexagon)
     if not found:
         raise ValueError(
             "classes are not composable within the length cutoff")

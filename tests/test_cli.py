@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from cordspec import cli, cord_engine
+from cordspec import cli, isometry_group
 from cordspec.cli import ConfigError, RunConfig
 
 
@@ -64,13 +64,36 @@ def test_spectrum_golden(capsys, tmp_path):
     code, rep, _ = run(capsys, ["spectrum", "--height", "1.2",
                                 "--cutoff", "4.0", "--out", str(out)])
     assert code == 0
-    # 1211 less the 25 classes that a sign convention once counted twice;
-    # the Eisenstein oracle (tests/test_cord_engine.py) counts 1416, which
-    # the word cap of the enumeration does not reach
-    assert rep["classes"] == 1186
+    # the Eisenstein oracle's count (tests/test_cord_engine.py), which the
+    # flood's cover certificate proves complete
+    assert rep["classes"] == 1416 and rep["complete"] is True
     assert rep["shortest"] == pytest.approx(2 * math.log(1.2))
     data = json.loads(out.read_text())
-    assert len(data["entries"]) == 1186
+    assert len(data["entries"]) == 1416
+    stats = rep["stats"]
+    assert (stats["moves"], stats["kept"], stats["stop"]) == (
+        4, 1416, "exhausted")
+    assert stats["least_c"] == pytest.approx(1.0)
+    assert 0 < stats["cover_margin"] < 1
+    assert stats["levels"] >= 1 and stats["steps"] >= stats["kept"]
+
+
+def test_flood_failures_exit_1_with_no_list(capsys, monkeypatch):
+    # a budget overrun leaves the list unproven: exit 1, and nothing on
+    # stdout, in the flood's steps and in the search for its moves
+    code, rep, err = run(capsys, ["spectrum", "--height", "1.2",
+                                  "--cutoff", "40"])
+    assert (code, rep) == (1, None)
+    assert err.strip() == "error: step cap 2000000 exceeded"
+    code, rep, err = run(capsys, ["triangle", "b", "b", "BB", "--height",
+                                  "1.2", "--cutoff", "60"])
+    assert (code, rep) == (1, None)
+    assert err.strip() == "error: lattice vector cap 2000000 exceeded"
+    monkeypatch.setattr(isometry_group, "_MOVE_SEARCH_BUDGET", 10)
+    for cmd in (["spectrum"], ["index"]):
+        code, rep, err = run(capsys, cmd + ["--cutoff", "2"])
+        assert (code, rep) == (1, None)
+        assert err.strip() == "error: element cap 10 exceeded"
 
 
 def test_spectrum_auto_height(capsys):
@@ -81,14 +104,16 @@ def test_spectrum_auto_height(capsys):
 
 
 def test_auto_height_computed_once_per_command(monkeypatch):
+    # the auto height and the embedded check read the moves of one word
+    # search, kept on the presentation
     calls = []
-    inner = cord_engine.max_embedded_height
+    inner = isometry_group.reduced_levels
 
-    def counting(rep, *args, **kwargs):
-        calls.append(rep)
-        return inner(rep, *args, **kwargs)
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
 
-    monkeypatch.setattr(cord_engine, "max_embedded_height", counting)
+    monkeypatch.setattr(isometry_group, "reduced_levels", counting)
     code, rep = cli.run_spectrum(RunConfig("spectrum", cutoff=1.0))
     assert code == 0 and rep["height"] == pytest.approx(1.0, abs=1e-9)
     assert len(calls) == 1
@@ -165,10 +190,51 @@ def test_index_constant_chord(capsys):
     assert code == 0
     assert rep["constant_chord"] == {"kernel": 2, "cokernel": 2}
     assert rep["mesh_size"] == 128
-    # the height it ran at, which --height does not set
+    # the height it ran at: the kernel is the same at every height
     assert rep["height"] == 1.0
-    _, rep, _ = run(capsys, ["index", "--constant-chord", "--height", "1.2"])
-    assert rep["height"] == 1.0
+
+
+def test_index_constant_chord_rejects_unread_options(capsys):
+    # the constant chord reads no group, height or cutoff
+    with pytest.raises(SystemExit) as e:
+        cli.main(["index", "--constant-chord", "--height", "7", "--cutoff",
+                  "0.3", "--input", "/nonexistent.json", "--mesh-size",
+                  "64"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert "--constant-chord: not allowed with --input, --height, --cutoff" \
+        in err
+    for opt in (["--height", "1.2"], ["--cutoff", "3"],
+                ["--input", "x.json"]):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["index", "--constant-chord"] + opt)
+        assert e.value.code == 2
+        assert f"not allowed with {opt[0]}" in capsys.readouterr().err
+
+
+def test_index_solves_once_per_rounded_length(capsys, monkeypatch):
+    # at mesh 64 two rows of one true length once printed two least
+    # eigenvalues, 6.688973018400702 and 6.688973018401612, from float
+    # noise in the length; the solve is keyed on the length rounded to 9
+    # digits, as the rows are ordered
+    solves = []
+    inner = cli.variational.smallest_eigenvalue
+
+    def counting(H):
+        solves.append(H)
+        return inner(H)
+
+    monkeypatch.setattr(cli.variational, "smallest_eigenvalue", counting)
+    code, rep, _ = run(capsys, ["index", "--cutoff", "2.5",
+                                "--mesh-size", "64"])
+    assert code == 0 and len(rep["rows"]) == 116
+    lams = {}
+    for r in rep["rows"]:
+        lams.setdefault(round(r["length"], 9), set()).add(
+            r["min_eigenvalue"])
+    assert len(lams) == len(solves) == 5
+    assert all(len(v) == 1 for v in lams.values())
+    assert rep["complete"] is True and rep["stats"]["kept"] == 120
 
 
 def test_index_small_cutoff(capsys, tmp_path):

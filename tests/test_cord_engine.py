@@ -140,7 +140,7 @@ def test_z_profile_residual_and_bounds(fig8):
 
 def test_cord_for_class_has_the_closed_form_length(fig8):
     # index prints the lengths that spectrum prints, to the last bit
-    a0 = ce.embedded_height(fig8)
+    a0 = ce.max_embedded_height(fig8)
     for _, g, _ in ce.canonical_classes(fig8, a0, 2.5):
         cord = ce.cord_for_class(g, a0)
         assert cord.length == ce.cord_length(g, a0)
@@ -148,16 +148,17 @@ def test_cord_for_class_has_the_closed_form_length(fig8):
         assert complex(cord.end.x, cord.end.y) == g.a / g.c
 
 
-def test_max_embedded_height(fig8):
+def test_max_embedded_height(fig8, five_two):
     assert ce.max_embedded_height(fig8) == pytest.approx(1.0, abs=1e-9)
+    # 1 / |c| of the two classes of least |c| of 5_2
+    assert ce.max_embedded_height(five_two) == pytest.approx(1 / 1.150964,
+                                                             rel=1e-6)
 
 
 def test_enumerate_cords_golden(fig8):
     spec = ce.enumerate_cords(fig8, A0, 4.0)
-    # 1211 less the 25 classes that a sign convention once counted twice;
-    # the oracle below counts 1416, which the word cap of the enumeration
-    # does not reach
-    assert len(spec.entries) == 1186
+    # the Eisenstein count of eisenstein_classes below
+    assert len(spec.entries) == 1416
     assert spec.entries[0].length == pytest.approx(2 * math.log(A0), abs=1e-12)
     lengths = spec.lengths()
     rounded = [round(ell, 9) for ell in lengths]
@@ -190,6 +191,25 @@ def test_canonical_classes_deterministic(fig8):
     c2 = ce.canonical_classes(fig8, A0, 2.0)
     assert [w for w, _, _ in c1] == [w for w, _, _ in c2]
     assert len({center_key(g, fig8) for _, g, _ in c1}) == len(c1)
+
+
+def test_class_names_depend_on_neither_cutoff_nor_height(fig8):
+    # a class is named by the first step that reaches it, and every step
+    # into it comes from a class of smaller |c|
+    names = {}
+    for a0, L in ((A0, 4.0), (A0, 5.0), (1.5, 4.0 + 2 * math.log(1.5 / A0))):
+        for w, g, ell in ce.canonical_classes(fig8, a0, L):
+            names.setdefault(center_key(g, fig8), set()).add(w)
+    assert all(len(words) == 1 for words in names.values())
+
+
+def test_classes_report_how_the_flood_found_them(fig8):
+    classes = ce.canonical_classes(fig8, A0, 4.0)
+    assert classes.stats == {
+        "moves": 4, "least_c": pytest.approx(1.0), "cover_margin":
+        ce.ford_moves(fig8).margin, "levels": 3, "steps": 5504,
+        "kept": 1416, "stop": "exhausted"}
+    assert ce.enumerate_cords(fig8, A0, 4.0).stats == classes.stats
 
 
 # Oracle for the figure-eight spectrum.  Riley's holonomy lies in
@@ -256,7 +276,7 @@ def _rounded(*st):
     return tuple(round(float(x) % 1.0, 6) % 1.0 for x in st)
 
 
-@pytest.mark.parametrize("L", [2.0, 3.0, 4.0])
+@pytest.mark.parametrize("L", [2.0, 3.0, 4.0, 5.0])
 def test_spectrum_centers_are_the_oracle_classes(fig8, L):
     centers, count = eisenstein_classes(A0, L)
     oracle = {_rounded(*st): n for st, n in centers.items()}
@@ -271,6 +291,10 @@ def test_spectrum_centers_are_the_oracle_classes(fig8, L):
         assert key in oracle
         assert e.length == pytest.approx(math.log(A0**2 * oracle[key]),
                                          abs=1e-12)
+        assert ce.cord_length(g, A0) == pytest.approx(e.length, abs=1e-9)
+    # the flood is complete: every oracle class is printed
+    assert got == oracle.keys()
+    assert len(got) == {2.0: 24, 3.0: 216, 4.0: 1416, 5.0: 10416}[L]
     if L == 2.0:
         # denominators 1, 1 - w and 2, with phi = 1, 2 and 3
         assert len(got) == count == 4 * (1 + 2 + 3)

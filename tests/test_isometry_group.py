@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cordspec.cord_engine import canonical_classes
 from cordspec.hyperbolic_core import PointH3, distance
-from cordspec.isometry_group import (INFINITY, BudgetExceeded, Horoball,
-                                     Moebius, _entries, _psl_keys,
-                                     apply_boundary, apply_h3, center_key,
-                                     classify, double_coset_canonical,
-                                     enumerate_elements, image_horoball,
-                                     is_infinity, spell, verify_presentation)
+from cordspec.isometry_group import (INFINITY, BudgetExceeded, CoverError,
+                                     GroupPresentation, Horoball, Moebius,
+                                     _entries, _psl_keys, apply_boundary,
+                                     apply_h3, center_key, classify,
+                                     cover_margin, double_coset_canonical,
+                                     enumerate_elements, ford_moves,
+                                     image_horoball, is_infinity,
+                                     lattice_disks, verify_presentation)
 
 finite = st.floats(-4, 4, allow_nan=False)
 cplx = st.builds(complex, finite, finite)
@@ -166,38 +167,11 @@ def test_generator_classification(fig8):
         assert classify(g) == "parabolic"
 
 
-def psl_invariant(g):
-    """The quadratic monomials a^2, ab, ..., d^2, rounded: equal for g and
-    -g, and determining g up to sign."""
-    a, b, c, d = g.a, g.b, g.c, g.d
-    return tuple(round(v, 6) for z in (a * a, a * b, a * c, a * d, b * b,
-                                       b * c, b * d, c * c, c * d, d * d)
-                 for v in (z.real, z.imag))
-
-
-def flat_elements(rep, max_radius, a0=1.0, **kw):
-    """(word, element) for the elements of the levels of
-    ``enumerate_elements`` with a0 |c| <= e^{max_radius/2}, the identity
-    left out, in the search's order."""
-    cmax = math.exp(max_radius / 2.0) / a0
-    names = sorted(rep.letters())
-    levels, out = [], []
-    for g, parent, letter in enumerate_elements(rep, max_radius, a0, **kw):
-        levels.append((parent, letter))
-        if parent is None:
-            continue
-        for row in np.flatnonzero(np.abs(g[2]) <= cmax + 1e-12).tolist():
-            word = "".join(spell(levels, len(levels) - 1, row, names))
-            out.append((word, Moebius(*g[:, row].tolist())))
-    return out
-
-
-def first_shortlex_classes(rep, a0, Lmax, max_len):
-    """The word of each cord class with length <= Lmax, by the naming
-    rule: the first of the reduced words of up to ``max_len`` letters, in
-    shortlex order on ``sorted(rep.letters())``, whose element is neither
-    peripheral nor tangent and lies within the cutoff, per ``center_key``.
-    Each word is evaluated on its own, by ``rep.evaluate``."""
+def word_classes(rep, cmax, max_len):
+    """{center_key: word}: the first reduced word, in shortlex order on
+    ``sorted(rep.letters())``, of each non-peripheral class with
+    |c| <= cmax, among the words of up to ``max_len`` letters, each
+    evaluated on its own by ``rep.evaluate``."""
     names = sorted(rep.letters())
     classes = {}
     for n in range(1, max_len + 1):
@@ -205,47 +179,166 @@ def first_shortlex_classes(rep, a0, Lmax, max_len):
             if any(x == y.swapcase() for x, y in zip(word, word[1:])):
                 continue
             g = rep.evaluate(word)
-            ac = abs(g.c)
-            if (ac >= 1e-9 and a0 * ac > 1.0 + 1e-9
-                    and 2.0 * math.log(a0 * ac) <= Lmax + 1e-12):
+            if 1e-9 <= abs(g.c) <= cmax + 1e-9:
                 classes.setdefault(center_key(g, rep), "".join(word))
-    return sorted(classes.values())
+    return classes
 
 
-def test_capped_search_names_each_class_by_its_first_shortlex_word(fig8):
-    # a capped search keeps every reduced word, so a class keeps its first
-    # row: the first word of the first element that reaches the class
-    for Lmax, cap in ((2.0, 6), (3.0, 6), (3.0, 7)):
-        want = first_shortlex_classes(fig8, 1.2, Lmax, cap)
-        got = sorted(w for w, _, _ in canonical_classes(fig8, 1.2, Lmax,
-                                                        max_word_len=cap))
-        assert got == want, (Lmax, cap)
-    ac = np.concatenate([np.abs(g[2]) for g, _, _ in enumerate_elements(
-        fig8, max_radius=3.0, max_word_len=10)])
-    assert ac[ac > 1e-9].min() == pytest.approx(1.0)
+def free_reduce(word):
+    out = []
+    for ch in word:
+        if out and out[-1] == ch.swapcase():
+            out.pop()
+        else:
+            out.append(ch)
+    return "".join(out)
 
 
-def test_enumeration_pruning_is_lossless(fig8):
-    pruned = flat_elements(fig8, max_radius=2.0, max_word_len=7)
-    unpruned = flat_elements(fig8, max_radius=2.0, max_word_len=7,
-                             margin=1e9)
-    assert ({psl_invariant(g) for _, g in pruned}
-            == {psl_invariant(g) for _, g in unpruned})
+def flood_oracle(rep, cmax):
+    """{center_key: word} by the flood's naming rule, in scalar Moebius
+    arithmetic: breadth first from the moves, each level's classes taken
+    in key order, then the moves in order, then v = m mu + n lam with m,
+    then n ascending over a box that holds the disk; a step k T_v g is
+    kept when |c| rises and stays <= cmax, and a class is named by the
+    first step that reaches it, as word(k) mer^m lon^n word(g), freely
+    reduced."""
+    moves = [(w, rep.evaluate(w)) for w in ford_moves(rep).words]
+    mu, lam = rep.lattice_vectors()
+    det = mu.real * lam.imag - lam.real * mu.imag
+    inv = lambda w: w[::-1].swapcase()
+    level = {center_key(k, rep): (w, k) for w, k in moves
+             if abs(k.c) <= cmax}
+    names = {key: w for key, (w, _) in level.items()}
+    while level:
+        new = {}
+        for key in sorted(level, key=lambda z: (z.real, z.imag)):
+            word, g = level[key]
+            for kw, k in moves:
+                center = -(g.a / g.c + k.d / k.c)
+                reach = abs(center) + cmax / abs(g.c * k.c) + 1
+                mmax = int(reach * abs(lam / det)) + 1
+                nmax = int(reach * abs(mu / det)) + 1
+                for m in range(-mmax, mmax + 1):
+                    for n in range(-nmax, nmax + 1):
+                        v = m * mu + n * lam
+                        h = k.compose(Moebius(1, v, 0, 1)).compose(g)
+                        if not abs(g.c) * (1 + 1e-9) < abs(h.c) \
+                                <= cmax * (1 + 1e-9):
+                            continue
+                        hk = center_key(h, rep)
+                        if hk in names:
+                            continue
+                        t = ((rep.meridian if m > 0 else inv(rep.meridian))
+                             * abs(m) + (rep.longitude if n > 0 else
+                                         inv(rep.longitude)) * abs(n))
+                        names[hk] = free_reduce(kw + t + word)
+                        new[hk] = (names[hk], h)
+        level = new
+    return names
+
+
+def flood_names(rep, max_radius, a0=1.0):
+    """{center_key: word} of the classes of ``enumerate_elements``."""
+    return {center_key(Moebius(*col), rep): w
+            for g, words, _ in enumerate_elements(rep, max_radius, a0)
+            for col, w in zip(g.T.tolist(), words)}
+
+
+def test_figure_eight_moves_cover_by_the_eisenstein_covering_radius(fig8):
+    # the four classes of |c| = 1 have their centers at Z[w], so f is the
+    # distance to the triangular lattice of side 1, whose covering radius
+    # 1/sqrt(3) bounds any proven margin
+    moves = ford_moves(fig8)
+    assert moves.words == ["B", "b", "BAb", "Bab"]
+    assert np.abs(moves.entries[2]) == pytest.approx(1.0, abs=1e-12)
+    assert 0.0 < moves.margin <= 1.0 - 1.0 / math.sqrt(3) + 1e-12
+    # B and b alone leave points uncovered
+    assert cover_margin(fig8, moves.entries[:, :2]) <= 0.0
+
+
+def test_five_two_cover_settles_a_thin_margin(five_two):
+    moves = ford_moves(five_two)
+    ac = np.abs(moves.entries[2])
+    assert ac == pytest.approx(1.150964, abs=1e-6) and len(ac) == 2
+    # the margin is proven, and no larger than the gap 1 - f at the worst
+    # node of an independent 161 x 161 grid with every nearby translate
+    mu, lam = five_two.lattice_vectors()
+    grid = np.linspace(0.0, 1.0, 161)
+    w = (grid[:, None] * mu + grid * lam).ravel()
+    box = np.arange(-8, 9)
+    v = (box[:, None] * mu + box * lam).ravel()
+    f = np.min([c * np.abs(w[:, None] - z - v).min(axis=1)
+                for z, c in zip(moves.entries[0] / moves.entries[2], ac)],
+               axis=0)
+    assert 0.97 < f.max() < 1.0
+    assert 0.0 < moves.margin <= 1.0 - f.max()
+    # the next |c| value widens the margin
+    more = [five_two.evaluate(word) for word in ("b", "B")]
+    wider = np.concatenate([moves.entries, _entries(more)], axis=1)
+    assert cover_margin(five_two, wider) > moves.margin
+
+
+def test_word_search_that_ends_without_a_cover_is_an_error():
+    # a group of order 2 whose one class has a disk of radius 1 about each
+    # point of 4 Z[i]: the search ends, and the plane is not covered
+    rep = GroupPresentation("order_two", [Moebius(0, 1, -1, 0)], ["aa"],
+                            "", "", [[4.0, 0.0], [0.0, 4.0]])
+    with pytest.raises(CoverError):
+        ford_moves(rep)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_lattice_disks_list_the_lattice_vectors_in_order(seed):
+    rng = np.random.default_rng(seed)
+    # a lattice far from degenerate, so that a box of 60 holds the disks
+    mu = complex(1.0, rng.normal() * 0.3)
+    lam = complex(rng.normal(), 1.0 + rng.random())
+    centers = rng.normal(size=6) * 3 + 1j * rng.normal(size=6) * 3
+    radii = rng.random(6) * 4
+    i, m, n = lattice_disks(centers, radii, mu, lam)
+    want = [(k, a, b) for k in range(6) for a in range(-60, 61)
+            for b in range(-60, 61)
+            if abs(a * mu + b * lam - centers[k]) <= radii[k]]
+    assert list(zip(i.tolist(), m.tolist(), n.tolist())) == want
+    with pytest.raises(BudgetExceeded):
+        lattice_disks(centers, radii * 100, mu, lam, limit=len(want))
+
+
+def test_flood_names_each_class_by_its_first_step(fig8, five_two):
+    assert flood_names(fig8, 3.0, 1.2) == flood_oracle(
+        fig8, math.exp(1.5) / 1.2)
+    assert flood_names(five_two, 2 * math.log(2.5)) == flood_oracle(
+        five_two, 2.5)
+
+
+def test_flood_contains_every_class_of_a_word_search(fig8, five_two):
+    # on the figure-eight the capped word search of 8 letters reaches
+    # every class up to |c| = 2; on 5_2 it misses some up to |c| = 3
+    for rep, cmax, n in ((fig8, 2.0, 24), (five_two, 3.0, 20)):
+        words = word_classes(rep, cmax, 8)
+        flood = flood_names(rep, 2 * math.log(cmax))
+        assert len(words) == n and words.keys() <= flood.keys()
+    assert len(flood) == 30
+
+
+def test_five_two_class_counts_grow_by_e_squared(five_two):
+    counts = [len(flood_names(five_two, L)) for L in (3.0, 4.0, 5.0)]
+    assert counts[1] / counts[0] == pytest.approx(math.e**2, rel=0.05)
+    assert counts[2] / counts[1] == pytest.approx(math.e**2, rel=0.03)
 
 
 def test_enumeration_budget_cap(fig8):
-    with pytest.raises(BudgetExceeded):
-        list(enumerate_elements(fig8, max_radius=6.0, max_word_len=12,
-                                max_elements=100))
+    with pytest.raises(BudgetExceeded, match="step cap 100"):
+        list(enumerate_elements(fig8, max_radius=6.0, max_elements=100))
 
 
-def test_enumeration_words_are_reduced_and_match(fig8):
-    for word, g in flat_elements(fig8, max_radius=2.0, max_word_len=6):
-        assert word and all(
-            word[i] != word[i + 1].swapcase() or word[i] == word[i + 1]
-            for i in range(len(word) - 1))
-        # the frontier composes on the right, as evaluate does
-        assert fig8.evaluate(word).is_close(g, 1e-12)
+def test_enumeration_words_are_reduced_and_match(fig8, five_two):
+    for rep in (fig8, five_two):
+        for g, words, _ in enumerate_elements(rep, max_radius=4.0):
+            for word, col in zip(words, g.T.tolist()):
+                assert word == free_reduce(word)
+                # the word's product is the level's element, in PSL
+                assert rep.evaluate(word).is_close(Moebius(*col), 1e-9)
 
 
 def test_double_coset_canonical_properties(fig8):

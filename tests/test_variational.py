@@ -267,3 +267,16 @@ def test_enumerated_cords_all_stable(fig8):
         H = va.hessian(cord, N=128)
         assert va.index_nullity(H) == (0, 0)
         assert va.smallest_eigenvalue(H) > cord.length**2
+
+
+def test_five_two_cords_all_stable(five_two):
+    # the paper's theorem on a second, non-arithmetic knot: at the embedded
+    # height every cord below the cutoff has index 0 and nullity 0
+    a0 = ce.max_embedded_height(five_two)
+    classes = ce.canonical_classes(five_two, a0, 3.0)
+    assert len(classes) > 10
+    for _, g, _ in classes:
+        cord = ce.cord_for_class(g, a0)
+        H = va.hessian(cord, N=128)
+        assert va.index_nullity(H) == (0, 0)
+        assert va.smallest_eigenvalue(H) > cord.length**2
