@@ -45,6 +45,14 @@ class RunConfig:
     threads: int = 1  # read by nothing; perfbench/worker.py passes it
 
     def validate(self):
+        """Check the fields, and store the cutoff and a numeric height as
+        floats, so that an int prints as the float it is read as."""
+        self.cutoff = float(self.cutoff)
+        if self.height != "auto":
+            try:
+                self.height = float(self.height)
+            except ValueError:
+                raise ConfigError("height must be a number or 'auto'")
         if not (math.isfinite(self.cutoff) and self.cutoff > 0):
             raise ConfigError("length cutoff must be positive and finite")
         if self.height != "auto" and not (math.isfinite(self.height)
@@ -202,8 +210,8 @@ def run_spectrum(cfg: RunConfig, out_path=None) -> tuple:
         else:
             spec.write_json(out_path)
     report = {"subcommand": "spectrum", "ok": True, "height": a0,
-              "cutoff": cfg.cutoff, "classes": len(spec.entries),
-              "shortest": spec.entries[0].length if spec.entries else None,
+              "cutoff": cfg.cutoff, "classes": len(spec.words),
+              "shortest": spec.lengths[0] if spec.lengths else None,
               "complete": True, "stats": spec.stats}
     _validate_scalar_schema(report, ("height", "cutoff"))
     return EXIT_OK, report
@@ -217,13 +225,12 @@ def _validate_scalar_schema(rep, float_keys):
 
 # ------------------------------------------------------------------ index
 
-def run_index(cfg: RunConfig, no_assert=False, constant_chord=False) -> tuple:
+def run_index(cfg: RunConfig, constant_chord=False) -> tuple:
     cfg.validate()
     if constant_chord:
         a0 = 1.0  # the kernel is dim T = 2 at every height
         ker, coker = variational.constant_chord_hessian(a0, cfg.mesh_size)
-        ok = (ker == 2 and coker == 2)
-        report = {"subcommand": "index", "ok": ok or no_assert,
+        report = {"subcommand": "index", "ok": ker == 2 and coker == 2,
                   "constant_chord": {"kernel": ker, "cokernel": coker},
                   "mesh_size": cfg.mesh_size, "height": a0}
         return (EXIT_OK if report["ok"] else EXIT_ASSERT), report
@@ -234,22 +241,23 @@ def run_index(cfg: RunConfig, no_assert=False, constant_chord=False) -> tuple:
     except ValueError as e:
         raise ConfigError(str(e))
     # at one height the Hessian depends on the cord only through its
-    # length: one solve per length rounded to 9 digits, the key that orders
-    # the rows, so float noise in the length neither splits it nor prints
-    # two eigenvalues for it
+    # length, so it is assembled on the vertical cord over 0 of that length:
+    # one solve per length rounded to 9 digits, the key that orders the
+    # rows, so float noise in the length neither splits it nor prints two
+    # eigenvalues for it
     rows, spectra = [], {}
-    for word, g, ell in classes:
+    for word, ell in zip(classes.words, classes.lengths):
         key = round(ell, 9)
         if key not in spectra:
-            H = variational.hessian(cord_engine.cord_for_class(g, a0),
-                                    N=cfg.mesh_size)
+            cord = cord_engine.Cord.from_vertical(a0, 0j, ell)
+            H = variational.hessian(cord, N=cfg.mesh_size)
             spectra[key] = (*variational.index_nullity(H),
                             variational.smallest_eigenvalue(H))
         idx, nul, lam = spectra[key]
         rows.append({"class_word": word, "length": ell, "index": idx,
                      "nullity": nul, "min_eigenvalue": lam})
     ok = all(r["index"] == 0 and r["nullity"] == 0 for r in rows)
-    report = {"subcommand": "index", "ok": ok or no_assert, "height": a0,
+    report = {"subcommand": "index", "ok": ok, "height": a0,
               "cutoff": cfg.cutoff, "mesh_size": cfg.mesh_size, "rows": rows,
               "complete": True, "stats": classes.stats}
     return (EXIT_OK if report["ok"] else EXIT_ASSERT), report
@@ -258,7 +266,9 @@ def run_index(cfg: RunConfig, no_assert=False, constant_chord=False) -> tuple:
 # ------------------------------------------------------------------ torus
 
 def run_torus(p, q, ambient, Lmax, out_prefix=None) -> tuple:
-    RunConfig("torus", cutoff=Lmax).validate()
+    cfg = RunConfig("torus", cutoff=Lmax)
+    cfg.validate()
+    Lmax = cfg.cutoff
     try:
         params = torus_knot_h2r.TorusKnotParams(p, q, ambient)
     except ValueError as e:
@@ -331,7 +341,6 @@ def _build_parser():
                     dest="out_format")
     sp.add_argument("--out", default=None)
     ix = common(sub.add_parser("index"))
-    ix.add_argument("--no-assert", action="store_true")
     ix.add_argument("--constant-chord", action="store_true")
     ix.add_argument("--mesh-size", type=int, default=256)
     t = sub.add_parser("torus")
@@ -348,14 +357,9 @@ def _build_parser():
 
 def _cfg_from_args(args) -> RunConfig:
     """RunConfig from the subcommand's options; other fields default."""
-    kw = {k: v for k, v in vars(args).items()
-          if k in RunConfig.__dataclass_fields__}
-    if kw.get("height", "auto") != "auto":
-        try:
-            kw["height"] = float(kw["height"])
-        except ValueError:
-            raise ConfigError("height must be a number or 'auto'")
-    return RunConfig(subcommand=args.cmd, **kw)
+    return RunConfig(subcommand=args.cmd, **{
+        k: v for k, v in vars(args).items()
+        if k in RunConfig.__dataclass_fields__})
 
 
 def main(argv=None) -> int:
@@ -378,7 +382,7 @@ def main(argv=None) -> int:
             elif args.cmd == "spectrum":
                 code, report = run_spectrum(cfg, out_path=args.out)
             elif args.cmd == "index":
-                code, report = run_index(cfg, no_assert=args.no_assert,
+                code, report = run_index(cfg,
                                          constant_chord=args.constant_chord)
             else:
                 code, report = run_triangle(cfg, args.classes,

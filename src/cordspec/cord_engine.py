@@ -15,8 +15,7 @@ import numpy as np
 from .hyperbolic_core import PointH3
 from .isometry_group import (INFINITY, PERIPHERAL_TOL, GroupPresentation,
                              Horoball, Moebius, apply_boundary, apply_h3,
-                             canonical_entries, enumerate_elements,
-                             ford_moves, image_horoball)
+                             enumerate_elements, ford_moves, image_horoball)
 
 # a0 |c(g)| <= 1 + TANGENT_TOL: the horoballs of g's class touch or overlap
 TANGENT_TOL = 1e-9
@@ -145,54 +144,45 @@ def z_profile_residual(cord: Cord, samples: int = 100) -> float:
     return worst
 
 
-@dataclass
-class SpectrumEntry:
-    class_word: str
-    length: float
-    energy: float
-    action: float
-    f0: float
-    b0: float
-
-
 _ENTRY_JSON = ('  {\n   "class_word": %s,\n   "length": %r,\n   "energy": %r,'
                '\n   "action": %r,\n   "f0": %s,\n   "b0": %s\n  }')
 
 
 @dataclass
 class ActionSpectrum:
-    entries: list
+    """The cord classes up to ``cutoff`` as two parallel columns in the
+    printed order: ``words`` (each class's name) and ``lengths``.  Every
+    other printed field is a function of the length and the height: energy
+    l^2/2, action -l^2/2, and f0 = b0 = 1/a0 for the vertical cords."""
+
+    words: list
+    lengths: list
     cutoff: float
     horoball_height: float
     stats: dict = field(default_factory=dict)  # how the flood found them
-
-    def lengths(self) -> list:
-        return [e.length for e in self.entries]
 
     def to_json(self) -> str:
         """``json.dumps`` of {cutoff, horoball_height, entries} with
         indent=1, byte for byte, without its pure-Python indenting encoder:
         each entry fills a fixed template, its words quoted and its finite
-        floats written by ``float.__repr__`` as json writes them; f0 and b0,
-        which the entries share, are written once."""
+        floats written by ``float.__repr__`` as json writes them."""
         head = '{\n "cutoff": %s,\n "horoball_height": %s,\n "entries": ' % (
             json.dumps(self.cutoff), json.dumps(self.horoball_height))
-        if not self.entries:
+        if not self.words:
             return head + "[]\n}"
-        shared = {x: repr(x) for x in {e.f0 for e in self.entries}
-                  | {e.b0 for e in self.entries}}
+        f0 = repr(1.0 / self.horoball_height)
         return head + "[\n" + ",\n".join(_ENTRY_JSON % (
-            encode_basestring_ascii(e.class_word), e.length, e.energy,
-            e.action, shared[e.f0], shared[e.b0])
-            for e in self.entries) + "\n ]\n}"
+            encode_basestring_ascii(w), ell, 0.5 * ell**2, -0.5 * ell**2,
+            f0, f0) for w, ell in zip(self.words, self.lengths)) + "\n ]\n}"
 
     def write_csv(self, path):
+        f0 = f"{1.0 / self.horoball_height:.12g}"
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["class_word", "length", "energy", "action", "f0", "b0"])
-            for e in self.entries:
-                w.writerow([e.class_word, f"{e.length:.12g}", f"{e.energy:.12g}",
-                            f"{e.action:.12g}", f"{e.f0:.12g}", f"{e.b0:.12g}"])
+            w.writerows([word, f"{ell:.12g}", f"{0.5 * ell**2:.12g}",
+                         f"{-0.5 * ell**2:.12g}", f0, f0]
+                        for word, ell in zip(self.words, self.lengths))
 
     def write_json(self, path):
         with open(path, "w") as f:
@@ -216,51 +206,37 @@ def check_embedded(rep: GroupPresentation, a0: float) -> None:
             f"height {a0} below embedded threshold {a_min}: horoballs overlap")
 
 
-class ClassList(list):
-    """The triples of ``canonical_classes``, with the flood's ``stats``."""
-
-    stats: dict
-
-
 def canonical_classes(rep: GroupPresentation, a0: float,
-                      Lmax: float) -> ClassList:
-    """(word, canonical double-coset representative, cord length) of each
-    class with nondegenerate cord length <= Lmax, sorted by (length rounded
-    to 9 digits, word); ValueError if a0 is below the embedded threshold.
-    The classes and their words come from the flood of
-    ``enumerate_elements``, which is complete up to the cutoff; tangent
+                      Lmax: float) -> ActionSpectrum:
+    """The classes with nondegenerate cord length <= Lmax, as the words and
+    lengths columns of an ``ActionSpectrum`` sorted by (length rounded to 9
+    digits, word); ValueError if a0 is below the embedded threshold.  The
+    classes and their words come from the flood of ``enumerate_elements``,
+    which is complete up to the cutoff; a class's length 2 ln(a0 |c|)
+    depends on its |c| alone, so no representative is formed.  Tangent
     classes are steps of the flood and are left out here.  ``stats`` holds
     the moves (how many, least |c|, cover margin), the levels, the steps
     tried, the classes the flood kept and the reason it stopped."""
     check_embedded(rep, a0)
-    found, words, steps = [], [], 0
-    for g, w, s in enumerate_elements(rep, max_radius=Lmax, a0=a0):
-        found.append(g)
-        words += w
-        steps += s
-    g = np.concatenate(found, axis=1) if found else np.empty((4, 0), complex)
-    ac = np.abs(g[2])
+    levels = list(enumerate_elements(rep, max_radius=Lmax, a0=a0))
+    ac = np.abs(np.concatenate([g[2] for g, _, _ in levels] or [[]]))
     ell = 2.0 * np.log(a0 * ac)
     # not tangent (a degenerate class), within the cutoff
     rows = np.flatnonzero((a0 * ac > 1.0 + TANGENT_TOL) & (ell <= Lmax + 1e-12))
-    words, ell = np.array(words, dtype=str)[rows], ell[rows]
+    words = np.array([w for _, ws, _ in levels for w in ws], dtype=str)[rows]
+    ell = ell[rows]
     order = np.lexsort((words, np.round(ell, 9)))
-    cg = canonical_entries(g[:, rows[order]], rep)
-    out = ClassList(zip(words[order].tolist(),
-                        [Moebius(*e) for e in cg.T.tolist()],
-                        ell[order].tolist()))
     moves = ford_moves(rep)
-    out.stats = {"moves": len(moves.words), "least_c": moves.least_c,
-                 "cover_margin": moves.margin, "levels": len(found),
-                 "steps": steps, "kept": g.shape[1], "stop": "exhausted"}
-    return out
+    return ActionSpectrum(words[order].tolist(), ell[order].tolist(), Lmax,
+                          a0, {"moves": len(moves.words),
+                               "least_c": moves.least_c,
+                               "cover_margin": moves.margin,
+                               "levels": len(levels),
+                               "steps": sum(s for _, _, s in levels),
+                               "kept": len(ac), "stop": "exhausted"})
 
 
 def enumerate_cords(rep: GroupPresentation, a0: float,
                     Lmax: float) -> ActionSpectrum:
-    """Action spectrum: one entry per ``canonical_classes`` triple."""
-    classes = canonical_classes(rep, a0, Lmax)
-    return ActionSpectrum([SpectrumEntry(w, ell, 0.5 * ell**2, -0.5 * ell**2,
-                                         1.0 / a0, 1.0 / a0)
-                           for w, _, ell in classes],
-                          Lmax, a0, classes.stats)
+    """The action spectrum up to Lmax: the table of ``canonical_classes``."""
+    return canonical_classes(rep, a0, Lmax)

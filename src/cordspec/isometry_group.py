@@ -564,26 +564,19 @@ def center_key(g: Moebius, rep: GroupPresentation) -> complex:
     return lattice_key(g.a / g.c, rep)
 
 
-def canonical_entries(g, rep: GroupPresentation) -> np.ndarray:
-    """The canonical representatives of the peripheral double cosets of the
-    columns of g (a complex (4, n) array, none of them peripheral).
+def double_coset_canonical(g: Moebius, rep: GroupPresentation) -> Moebius:
+    """Canonical representative of the peripheral double coset of g.
 
     Left/right multiplication by the cusp translations shifts a/c and d/c
     by lattice vectors without changing c; the representative puts both in
     the fundamental parallelogram of the cusp lattice and recomputes b from
-    the determinant."""
-    mu, lam = rep.lattice_vectors()
-    c = g[2]
-    s, t = _lattice_coords(g[0] / c, mu, lam)
-    a = (s * mu + t * lam) * c
-    s, t = _lattice_coords(g[3] / c, mu, lam)
-    d = (s * mu + t * lam) * c
-    return np.array([a, (a * d - 1.0) / c, c, d])
-
-
-def double_coset_canonical(g: Moebius, rep: GroupPresentation) -> Moebius:
-    """Canonical representative of the peripheral double coset of g, by
-    ``canonical_entries``.  Idempotent up to sign."""
+    the determinant.  Idempotent up to sign."""
     if abs(g.c) < PERIPHERAL_TOL:
         raise ValueError("peripheral element has no cord class")
-    return Moebius(*canonical_entries(_entries([g]), rep)[:, 0].tolist())
+    mu, lam = rep.lattice_vectors()
+    c = g.c
+    s, t = _lattice_coords(g.a / c, mu, lam)
+    a = (s * mu + t * lam) * c
+    s, t = _lattice_coords(g.d / c, mu, lam)
+    d = (s * mu + t * lam) * c
+    return Moebius(a, (a * d - 1.0) / c, c, d)

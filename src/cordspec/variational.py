@@ -51,25 +51,17 @@ def check_boundary_tangent(path: DiscretePath, V: np.ndarray,
                            tol: float = 1e-8):
     """Raise unless the endpoint variation vectors are tangent to the
     designated horospheres."""
-    B0, B1 = path.horoballs
-    if B0 is not None:
-        if B0.is_at_infinity():
-            if abs(V[0][2]) > tol:
-                raise ValueError("V(0) not tangent to the horosphere")
-        else:
-            c = np.array([B0.center.real, B0.center.imag, B0.size / 2.0])
-            r = path.nodes[0].coords() - c
-            if abs(V[0] @ r) / np.linalg.norm(r) > tol:
-                raise ValueError("V(0) not tangent to the horosphere")
-    if B1 is not None:
-        if B1.is_at_infinity():
-            if abs(V[-1][2]) > tol:
-                raise ValueError("V(1) not tangent to the horosphere")
-        else:
-            c = np.array([B1.center.real, B1.center.imag, B1.size / 2.0])
-            r = path.nodes[-1].coords() - c
-            if abs(V[-1] @ r) / np.linalg.norm(r) > tol:
-                raise ValueError("V(1) not tangent to the horosphere")
+    ends = zip((0, 1), path.horoballs, (path.nodes[0], path.nodes[-1]),
+               (V[0], V[-1]))
+    for t, B, q, v in ends:
+        if B is None:
+            continue
+        if B.is_at_infinity():
+            n = np.array([0.0, 0.0, 1.0])  # the plane's normal
+        else:  # the ball's radius to the node
+            n = q.coords() - (B.center.real, B.center.imag, B.size / 2.0)
+        if abs(v @ n) / np.linalg.norm(n) > tol:
+            raise ValueError(f"V({t}) not tangent to the horosphere")
 
 
 def first_variation(path: DiscretePath, V: np.ndarray) -> float:

@@ -63,8 +63,8 @@ def test_criterion_02_horosphere_mean_curvature():
 
 def test_criterion_03_z_profile(fig8, spectrum):
     worst_res, bound_ok = 0.0, True
-    for e in spectrum.entries:
-        cord = ce.cord_for_class(fig8.evaluate(e.class_word), A0)
+    for w in spectrum.words:
+        cord = ce.cord_for_class(fig8.evaluate(w), A0)
         worst_res = max(worst_res, ce.z_profile_residual(cord))
         f0, b0 = cord.profile
         bound_ok &= abs(b0) <= f0 + 1e-12
@@ -72,20 +72,21 @@ def test_criterion_03_z_profile(fig8, spectrum):
         fmax = max(1.0 / cord.point(t).z for t in np.linspace(0, 1, 17))
         bound_ok &= fmax <= f0 * math.cosh(ell) + abs(b0) * math.sinh(ell) \
             + 1e-10
-    report(3, f"cosh/sinh height profile on {len(spectrum.entries)} cords "
+    report(3, f"cosh/sinh height profile on {len(spectrum.words)} cords "
               f"(residual {worst_res:.2e})", worst_res <= 1e-8 and bound_ok)
 
 
 def test_criterion_04_shooting_matches_closed_form(fig8):
     t0 = time.perf_counter()
     B0 = Horoball(INFINITY, A0)
-    classes = ce.canonical_classes(fig8, A0, 5.0)[::40]
+    classes = [fig8.evaluate(w)
+               for w in ce.canonical_classes(fig8, A0, 5.0).words[::40]]
     worst = 0.0
-    for _, g, _ in classes:
+    for g in classes:
         cord = fl.shoot_neumann(B0, g)
         worst = max(worst, abs(cord.length - ce.cord_length(g, A0)))
     # uniqueness: perturbed starts (x, y, s, t) converge to the same cord
-    g = classes[5][1]
+    g = classes[5]
     base = fl.shoot_neumann(B0, g)
     uniq = True
     for guess in ([0.2, 0.1, 0.5, -0.3], [-0.15, 0.2, 1.5, 0.4],
@@ -100,8 +101,8 @@ def test_criterion_04_shooting_matches_closed_form(fig8):
 
 def test_criterion_05_morse_index(fig8):
     ok = True
-    for _, g, _ in ce.canonical_classes(fig8, A0, 2.5):
-        cord = ce.cord_for_class(g, A0)
+    for w in ce.canonical_classes(fig8, A0, 2.5).words:
+        cord = ce.cord_for_class(fig8.evaluate(w), A0)
         H = va.hessian(cord, N=256)
         ok &= va.index_nullity(H) == (0, 0)
     ok &= va.constant_chord_hessian(1.0, N=256) == (2, 2)

@@ -159,6 +159,24 @@ def test_torus_bad_max_length_is_config_error(capsys, length):
     assert code == 2 and rep is None and "cutoff" in err
 
 
+def test_integer_cutoff_and_height_are_stored_as_floats():
+    # an int passed validate() and then failed the report's float check
+    # with a bare AssertionError (spectrum), or printed as an int (index,
+    # torus)
+    cfg = RunConfig("spectrum", height=1, cutoff=2)
+    cfg.validate()
+    assert (cfg.height, cfg.cutoff) == (1.0, 2.0)
+    assert type(cfg.height) is type(cfg.cutoff) is float
+    code, rep = cli.run_spectrum(RunConfig("spectrum", cutoff=2))
+    assert code == 0 and type(rep["cutoff"]) is float and rep["classes"]
+    code, rep = cli.run_index(RunConfig("index", cutoff=1, mesh_size=64))
+    assert code == 0 and type(rep["cutoff"]) is float
+    assert json.dumps(rep["cutoff"]) == "1.0"
+    code, rep = cli.run_torus(2, 3, "s3", 4)
+    assert code == 0 and type(rep["rank_table"]["cutoff"]) is float
+    assert json.dumps(rep["rank_table"]["cutoff"]) == "4.0"
+
+
 @pytest.mark.parametrize("height", ["nan", "inf", "-1", "0", "0.5"])
 @pytest.mark.parametrize("cmd", [["spectrum"], ["index"],
                                  ["triangle", "b", "b", "BB"]],
@@ -173,6 +191,8 @@ def test_bad_height_is_config_error(capsys, cmd, height):
 @pytest.mark.parametrize("argv", [
     ["index", "--cutoff", "1", "--out", "x.json"],
     ["verify", "--cutoff", "2"],
+    # index has no switch that reports ok for a nonzero index
+    ["index", "--no-assert"],
 ])
 def test_unread_options_are_usage_errors(capsys, tmp_path, monkeypatch,
                                          argv):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 from fractions import Fraction
@@ -139,9 +140,11 @@ def test_z_profile_residual_and_bounds(fig8):
 
 
 def test_cord_for_class_has_the_closed_form_length(fig8):
-    # index prints the lengths that spectrum prints, to the last bit
+    # the cord of each printed class's word: vertical over a/c, with the
+    # closed-form length to the last bit
     a0 = ce.max_embedded_height(fig8)
-    for _, g, _ in ce.canonical_classes(fig8, a0, 2.5):
+    for w in ce.canonical_classes(fig8, a0, 2.5).words:
+        g = fig8.evaluate(w)
         cord = ce.cord_for_class(g, a0)
         assert cord.length == ce.cord_length(g, a0)
         assert cord.start.z == a0
@@ -158,15 +161,15 @@ def test_max_embedded_height(fig8, five_two):
 def test_enumerate_cords_golden(fig8):
     spec = ce.enumerate_cords(fig8, A0, 4.0)
     # the Eisenstein count of eisenstein_classes below
-    assert len(spec.entries) == 1416
-    assert spec.entries[0].length == pytest.approx(2 * math.log(A0), abs=1e-12)
-    lengths = spec.lengths()
+    assert len(spec.words) == len(spec.lengths) == 1416
+    assert spec.lengths[0] == pytest.approx(2 * math.log(A0), abs=1e-12)
+    lengths = spec.lengths
     rounded = [round(ell, 9) for ell in lengths]
     assert rounded == sorted(rounded)
-    for e in spec.entries[:20]:
-        assert e.energy == pytest.approx(0.5 * e.length**2)
-        assert e.action == pytest.approx(-0.5 * e.length**2)
-        assert e.f0 == e.b0 == pytest.approx(1 / A0)
+    for e in json.loads(spec.to_json())["entries"][:20]:
+        assert e["energy"] == pytest.approx(0.5 * e["length"]**2)
+        assert e["action"] == pytest.approx(-0.5 * e["length"]**2)
+        assert e["f0"] == e["b0"] == pytest.approx(1 / A0)
     assert lengths[-1] <= 4.0 + 1e-9
 
 
@@ -174,8 +177,9 @@ def test_equal_lengths_ordered_by_word(fig8):
     # classes of one length differ in the last bits of their float lengths;
     # the order among them is by word, not by that rounding noise
     groups = {}
-    for e in ce.enumerate_cords(fig8, A0, 4.0).entries:
-        groups.setdefault(round(e.length, 9), []).append(e.class_word)
+    spec = ce.enumerate_cords(fig8, A0, 4.0)
+    for w, ell in zip(spec.words, spec.lengths):
+        groups.setdefault(round(ell, 9), []).append(w)
     assert groups[round(2 * math.log(A0), 9)][:3] == ["B", "BAb", "Bab"]
     for words in groups.values():
         assert words == sorted(words)
@@ -189,8 +193,9 @@ def test_enumerate_cords_below_threshold_rejected(fig8):
 def test_canonical_classes_deterministic(fig8):
     c1 = ce.canonical_classes(fig8, A0, 2.0)
     c2 = ce.canonical_classes(fig8, A0, 2.0)
-    assert [w for w, _, _ in c1] == [w for w, _, _ in c2]
-    assert len({center_key(g, fig8) for _, g, _ in c1}) == len(c1)
+    assert c1.words == c2.words and c1.lengths == c2.lengths
+    assert len({center_key(fig8.evaluate(w), fig8) for w in c1.words}) \
+        == len(c1.words)
 
 
 def test_class_names_depend_on_neither_cutoff_nor_height(fig8):
@@ -198,8 +203,9 @@ def test_class_names_depend_on_neither_cutoff_nor_height(fig8):
     # into it comes from a class of smaller |c|
     names = {}
     for a0, L in ((A0, 4.0), (A0, 5.0), (1.5, 4.0 + 2 * math.log(1.5 / A0))):
-        for w, g, ell in ce.canonical_classes(fig8, a0, L):
-            names.setdefault(center_key(g, fig8), set()).add(w)
+        for w in ce.canonical_classes(fig8, a0, L).words:
+            names.setdefault(center_key(fig8.evaluate(w), fig8),
+                             set()).add(w)
     assert all(len(words) == 1 for words in names.values())
 
 
@@ -282,16 +288,16 @@ def test_spectrum_centers_are_the_oracle_classes(fig8, L):
     oracle = {_rounded(*st): n for st, n in centers.items()}
     assert len(oracle) == len(centers) == count
     got = set()
-    for e in ce.enumerate_cords(fig8, A0, L).entries:
-        g = fig8.evaluate(e.class_word)
+    spec = ce.enumerate_cords(fig8, A0, L)
+    for word, ell in zip(spec.words, spec.lengths):
+        g = fig8.evaluate(word)
         w = g.a / g.c
         key = _rounded(w.real, w.imag / (2 * math.sqrt(3)))
         assert key not in got  # one entry per class
         got.add(key)
         assert key in oracle
-        assert e.length == pytest.approx(math.log(A0**2 * oracle[key]),
-                                         abs=1e-12)
-        assert ce.cord_length(g, A0) == pytest.approx(e.length, abs=1e-9)
+        assert ell == pytest.approx(math.log(A0**2 * oracle[key]), abs=1e-12)
+        assert ce.cord_length(g, A0) == pytest.approx(ell, abs=1e-9)
     # the flood is complete: every oracle class is printed
     assert got == oracle.keys()
     assert len(got) == {2.0: 24, 3.0: 216, 4.0: 1416, 5.0: 10416}[L]
@@ -308,24 +314,51 @@ def test_spectrum_serialization(tmp_path, fig8):
     spec.write_csv(cpath)
     data = json.loads(jpath.read_text())
     assert data["cutoff"] == 2.0
-    assert len(data["entries"]) == len(spec.entries)
+    assert len(data["entries"]) == len(spec.words)
     rows = cpath.read_text().strip().split("\n")
     assert rows[0] == "class_word,length,energy,action,f0,b0"
-    assert len(rows) == len(spec.entries) + 1
+    assert len(rows) == len(spec.words) + 1
 
 
 @pytest.mark.parametrize("cutoff", [2.0, 0.3])
 def test_spectrum_json_is_the_json_module_output(fig8, cutoff):
     # 0.3 lies below the shortest cord, 2 ln 1.2, so that spectrum is empty
     spec = ce.enumerate_cords(fig8, A0, cutoff)
-    assert bool(spec.entries) == (cutoff == 2.0)
+    assert bool(spec.words) == (cutoff == 2.0)
+    entries = [{"class_word": w, "length": ell, "energy": 0.5 * ell**2,
+                "action": -0.5 * ell**2, "f0": 1.0 / A0, "b0": 1.0 / A0}
+               for w, ell in zip(spec.words, spec.lengths)]
     text = spec.to_json()
     assert text == json.dumps({
-        "cutoff": cutoff, "horoball_height": A0,
-        "entries": [e.__dict__ for e in spec.entries]}, indent=1)
+        "cutoff": cutoff, "horoball_height": A0, "entries": entries},
+        indent=1)
     data = json.loads(text)
     assert (data["cutoff"], data["horoball_height"]) == (cutoff, A0)
-    assert [ce.SpectrumEntry(**e) for e in data["entries"]] == spec.entries
+    assert data["entries"] == entries
+
+
+@pytest.mark.parametrize("cutoff", [2.0, 0.3])
+def test_spectrum_csv_is_the_json_to_12_digits(tmp_path, fig8, cutoff):
+    # the CSV writer derives energy, action, f0 and b0 from the length and
+    # the height as the JSON writer does; each field is the JSON value to
+    # 12 significant digits, and the empty spectrum writes the header only
+    spec = ce.enumerate_cords(fig8, A0, cutoff)
+    path = tmp_path / "spec.csv"
+    spec.write_csv(path)
+    header = ["class_word", "length", "energy", "action", "f0", "b0"]
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        rows = list(reader)
+    assert reader.fieldnames == header
+    entries = json.loads(spec.to_json())["entries"]
+    assert [r["class_word"] for r in rows] == \
+        [e["class_word"] for e in entries] == spec.words
+    for r, e in zip(rows, entries):
+        assert all(r[k] == f"{e[k]:.12g}" for k in header[1:]), (r, e)
+    if cutoff == 0.3:
+        assert path.read_bytes() == b"class_word,length,energy,action,f0,b0\r\n"
+    else:
+        assert len(rows) == 24
 
 
 def test_chord_lift_and_action():

@@ -6,6 +6,7 @@ import pytest
 from cordspec import cord_engine as ce
 from cordspec import variational as va
 from cordspec.hyperbolic_core import PointH3
+from cordspec.isometry_group import INFINITY, Horoball
 
 A0 = 1.2
 
@@ -57,6 +58,36 @@ def test_first_variation_vanishes_at_cord():
     V = rng.normal(size=(49, 3))
     V[0, 2] = V[-1, 2] = 0.0  # tangent to the horospheres at the ends
     assert abs(va.first_variation(path, V)) < 1e-10
+
+
+@pytest.mark.parametrize("end", [0, 1])
+@pytest.mark.parametrize("ball", ["plane", "finite"])
+def test_boundary_check_at_each_end(ball, end):
+    # a cord meets its horospheres orthogonally, so its velocity where it
+    # leaves B is normal to B there; the common perpendicular of two balls
+    # leaves a finite ball off its top, where the normal is not vertical
+    if ball == "plane":
+        B, cord = Horoball(INFINITY, A0), vertical_cord(1.1)
+    else:
+        B = Horoball(0j, 0.6)
+        cord = ce.common_perpendicular(B, Horoball(2 + 1j, 0.9))
+    normal = cord.velocity(0.0)
+    normal /= np.linalg.norm(normal)
+    assert (abs(normal[2]) > 1 - 1e-12) == (ball == "plane")
+    tangent = np.cross(normal, [0.3, -0.8, 0.5])
+    tangent /= np.linalg.norm(tangent)
+    nodes = va.DiscretePath.from_cord(cord, N=16).nodes
+    # run backwards, the path ends on B
+    path = va.DiscretePath(nodes[::-1], (None, B)) if end else \
+        va.DiscretePath(nodes, (B, None))
+    k = -end  # the node on B: 0 or -1
+    V = np.zeros((17, 3))
+    V[-1 - k] = (0.0, 0.0, 1.0)  # the other end has no horoball to check
+    V[k] = tangent
+    va.check_boundary_tangent(path, V)
+    V[k] = normal
+    with pytest.raises(ValueError, match=rf"V\({end}\) not tangent"):
+        va.check_boundary_tangent(path, V)
 
 
 def test_first_variation_matches_finite_differences():
@@ -262,8 +293,8 @@ def test_constant_chord_count_free_of_scale_and_mesh(a0, N):
 
 
 def test_enumerated_cords_all_stable(fig8):
-    for _, g, _ in ce.canonical_classes(fig8, A0, 2.0):
-        cord = ce.cord_for_class(g, A0)
+    for w in ce.canonical_classes(fig8, A0, 2.0).words:
+        cord = ce.cord_for_class(fig8.evaluate(w), A0)
         H = va.hessian(cord, N=128)
         assert va.index_nullity(H) == (0, 0)
         assert va.smallest_eigenvalue(H) > cord.length**2
@@ -273,10 +304,10 @@ def test_five_two_cords_all_stable(five_two):
     # the paper's theorem on a second, non-arithmetic knot: at the embedded
     # height every cord below the cutoff has index 0 and nullity 0
     a0 = ce.max_embedded_height(five_two)
-    classes = ce.canonical_classes(five_two, a0, 3.0)
-    assert len(classes) > 10
-    for _, g, _ in classes:
-        cord = ce.cord_for_class(g, a0)
+    words = ce.canonical_classes(five_two, a0, 3.0).words
+    assert len(words) > 10
+    for w in words:
+        cord = ce.cord_for_class(five_two.evaluate(w), a0)
         H = va.hessian(cord, N=128)
         assert va.index_nullity(H) == (0, 0)
         assert va.smallest_eigenvalue(H) > cord.length**2
