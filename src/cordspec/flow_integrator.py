@@ -53,48 +53,45 @@ def _rhs(x, y, z, px, py, pz) -> tuple:
             -z * (px * px + py * py + pz * pz))
 
 
-def hamiltonian_gradient(v: np.ndarray) -> np.ndarray:
-    """Analytic dH in coordinates (used for frame and form computations)."""
-    z = v[2]
-    p = v[3:6]
-    g = np.zeros(6)
-    g[2] = z * float(p @ p)
-    g[3:6] = z**2 * p
+def hamiltonian_gradient(v) -> np.ndarray:
+    """Analytic dH in coordinates at states v of shape (..., 6) (used for the
+    form computations)."""
+    v = np.asarray(v, dtype=float)
+    p = v[..., 3:]
+    g = np.zeros_like(v)
+    g[..., 2] = v[..., 2] * np.einsum("...i,...i", p, p)
+    g[..., 3:] = v[..., 2, None] ** 2 * p
     return g
 
 
-@dataclass
-class FrameData:
-    """Horizontal vectors H_i and vertical vectors V_i at a state, as columns
-    of 6-component coordinate vectors, plus the frame matrix F = [H | V]."""
-
-    H: np.ndarray  # 6 x 3
-    V: np.ndarray  # 6 x 3
-    F: np.ndarray  # 6 x 6
-
-
-def frame_fields(s: CotangentState) -> FrameData:
-    """Sasakian frame: H_i = d_{q^i} + p_a Gamma^a_{ij} d_{p_j}, V_i = d_{p_i}.
+def frame_fields(v) -> np.ndarray:
+    """Sasakian frame at states v of shape (..., 6): the matrices
+    F = [H | V] of shape (..., 6, 6) whose columns are the coordinate vectors
+    H_i = d_{q^i} + p_a Gamma^a_{ij} d_{p_j} and V_i = d_{p_i}.
 
     F = [[I, 0], [G, I]] with the connection block G_ji = p_a Gamma^a_ij."""
-    F = np.eye(6)
-    F[3:, :3] = np.einsum("a,aij->ji", s.p, christoffel(s.q))
-    return FrameData(F[:, :3], F[:, 3:], F)
+    v = np.asarray(v, dtype=float)
+    F = np.tile(np.eye(6), v.shape[:-1] + (1, 1))
+    F[..., 3:, :3] = np.einsum("...a,...aij->...ji", v[..., 3:],
+                               christoffel(v[..., :3]))
+    return F
 
 
-def sasakian_J(s: CotangentState) -> np.ndarray:
-    """Metric almost complex structure in coordinates.
+def sasakian_J(v) -> np.ndarray:
+    """Metric almost complex structure in coordinates at states v of shape
+    (..., 6), as matrices of shape (..., 6, 6).
 
     In the frame, J maps H_i -> h_ij V_j = (1/z^2) V_i and
     V_i -> -h^ij H_j = -z^2 H_i; J^2 = -Identity.  F is unit block
     lower-triangular, so F^{-1} = [[I, 0], [-G, I]] and
     J = F B F^{-1} = [[z^2 G, -z^2 I], [I/z^2 + z^2 G^2, -z^2 G]].
     """
-    G = frame_fields(s).H[3:]
-    z2 = s.q.z**2
-    J = np.empty((6, 6))
-    J[:3, :3], J[3:, 3:] = z2 * G, -z2 * G
-    J[:3, 3:], J[3:, :3] = -z2 * np.eye(3), z2 * G @ G + np.eye(3) / z2
+    G = frame_fields(v)[..., 3:, :3]
+    z2 = np.asarray(v, dtype=float)[..., 2, None, None] ** 2
+    J = np.empty(G.shape[:-2] + (6, 6))
+    J[..., :3, :3], J[..., 3:, 3:] = z2 * G, -z2 * G
+    J[..., :3, 3:] = -z2 * np.eye(3)
+    J[..., 3:, :3] = z2 * G @ G + np.eye(3) / z2
     return J
 
 
@@ -107,10 +104,12 @@ def symplectic_form_matrix() -> np.ndarray:
     return Om
 
 
-def theta_covector(s: CotangentState) -> np.ndarray:
-    """The canonical one-form theta = p dq as a coordinate covector."""
-    out = np.zeros(6)
-    out[0:3] = s.p
+def theta_covector(v) -> np.ndarray:
+    """The canonical one-form theta = p dq as coordinate covectors at states
+    v of shape (..., 6)."""
+    v = np.asarray(v, dtype=float)
+    out = np.zeros_like(v)
+    out[..., 0:3] = v[..., 3:6]
     return out
 
 
@@ -170,7 +169,7 @@ def geodesic_residual(path: np.ndarray, dt: float) -> float:
     qd = (qs[2:] - qs[:-2]) / (2 * dt)
     qdd = (qs[2:] - 2 * qs[1:-1] + qs[:-2]) / dt**2
     # Gamma(q) = Gamma(0, 0, 1) / z
-    res = qdd + np.einsum("aij,ki,kj->ka", christoffel(PointH3(0, 0, 1)),
+    res = qdd + np.einsum("aij,ki,kj->ka", christoffel((0.0, 0.0, 1.0)),
                           qd, qd) / qs[1:-1, 2:]
     return float(np.abs(res).max(initial=0.0))
 
@@ -180,97 +179,101 @@ def geodesic_residual(path: np.ndarray, dt: float) -> float:
 
 
 def _d_oneform(alpha, v: np.ndarray, step: float) -> np.ndarray:
-    """Exterior derivative matrix of a 1-form field alpha at v:
-    (d alpha)[m, n] = d_m alpha_n - d_n alpha_m by central differences."""
-    A = np.zeros((6, 6))  # A[m, n] = d_m alpha_n
-    for m in range(6):
-        h = step * (v[2] if m in (0, 1, 2) else 1.0)
-        e = np.zeros(6)
-        e[m] = h
-        A[m] = (alpha(v + e) - alpha(v - e)) / (2 * h)
-    return A - A.T
+    """Exterior derivative matrices of a 1-form field alpha at states v of
+    shape (..., 6): (d alpha)[..., m, n] = d_m alpha_n - d_n alpha_m by
+    central differences, step * z along q and step along p.  alpha is
+    evaluated once, on the 12 stencil points of every state, shape
+    (..., 12, 6)."""
+    h = step * np.where(np.arange(6) < 3, v[..., 2, None], 1.0)
+    e = h[..., None] * np.eye(6)
+    a = alpha(np.concatenate([v[..., None, :] + e, v[..., None, :] - e],
+                             axis=-2))
+    A = (a[..., :6, :] - a[..., 6:, :]) / (2 * h[..., None])  # d_m alpha_n
+    return A - np.swapaxes(A, -1, -2)
 
 
 def _alpha_df_J(v: np.ndarray, grad) -> np.ndarray:
-    s = CotangentState.from_vector(v)
-    return grad(v) @ sasakian_J(s)
+    return np.einsum("...m,...mn->...n", grad(v), sasakian_J(v))
 
 
-def plurisubharmonic_value(s: CotangentState, step: float = 1e-5) -> float:
-    """Value of -d(df o J)(X, JX) on the unit-normalized horizontal
-    directions for the exhaustion function f = H + 1/z.
+def plurisubharmonic_value(v, step: float = 1e-5) -> np.ndarray:
+    """Value of -d(df o J)(H_i, J H_i) for the exhaustion function
+    f = H + 1/z at states v of shape (..., 6), averaged over the three
+    horizontal frame vectors H_i of frame_fields (columns of F[..., :, :3]).
 
-    For the hyperbolic metric the value is (1+z)/z^3, independent of the
-    horizontal direction i; the three directions are averaged.
+    The H_i are not normalized: their Sasaki norm is 1/z.  For the
+    hyperbolic metric the value on them is (1+z)/z^3, independent of the
+    direction i; on unit horizontal vectors it would be z^2 times that,
+    (1+z)/z.
     """
 
-    def grad(v):
-        g = hamiltonian_gradient(v)
-        g[2] -= 1.0 / v[2] ** 2  # d(1/z)
+    def grad(w):
+        g = hamiltonian_gradient(w)
+        g[..., 2] -= 1.0 / w[..., 2] ** 2  # d(1/z)
         return g
 
-    v = s.vector()
+    v = np.asarray(v, dtype=float)
     dal = _d_oneform(lambda w: _alpha_df_J(w, grad), v, step)
-    J = sasakian_J(s)
-    fr = frame_fields(s)
-    vals = []
-    for i in range(3):
-        X = fr.H[:, i]
-        vals.append(-float(X @ dal @ (J @ X)))
-    return float(np.mean(vals))
+    H = frame_fields(v)[..., :, :3]
+    JH = sasakian_J(v) @ H
+    return -np.einsum("...mi,...mn,...ni->...i", H, dal, JH).mean(axis=-1)
 
 
-def form_identity_residuals(s: CotangentState, step: float = 1e-5) -> dict:
-    """Pointwise residuals of the two-form identities, evaluated on all 15
-    coordinate 2-plane pairs with finite-difference exterior derivatives.
+def form_identity_residuals(v, step: float = 1e-5) -> dict:
+    """Pointwise residuals of the two-form identities at states v of shape
+    (..., 6), evaluated on all 15 coordinate 2-plane pairs with
+    finite-difference exterior derivatives.
 
     Checked identities:
       1. -d(dH o J) = omega_0   (equivalently dH o J = theta)
       2. -d(dphi o J) = phi omega_0 - dphi ^ theta   for phi = x/z
       3. -dV^3 = -d(1/z) ^ theta + (1/z) omega_0
          where V^3 = dp_z + (1/z) theta
-    Returns a dict of max residuals per identity.
+    Returns a dict of max residuals per identity, each of shape (...).
     """
-    v = s.vector()
-    z = v[2]
+    v = np.asarray(v, dtype=float)
+    z = v[..., 2, None, None]
     Om = symplectic_form_matrix()
-    th = theta_covector(s)
+    th = theta_covector(v)
 
     def wedge(a, b):
-        return np.outer(a, b) - np.outer(b, a)
+        return (a[..., :, None] * b[..., None, :]
+                - b[..., :, None] * a[..., None, :])
+
+    def worst(r):
+        return np.abs(r).max(axis=(-2, -1))
 
     # identity 1
     d1 = _d_oneform(lambda w: _alpha_df_J(w, hamiltonian_gradient), v, step)
-    r1 = np.max(np.abs(-d1 - Om))
+    r1 = worst(-d1 - Om)
     # algebraic form of the same statement
-    r1b = np.max(np.abs(_alpha_df_J(v, hamiltonian_gradient) - th))
+    r1b = np.abs(_alpha_df_J(v, hamiltonian_gradient) - th).max(axis=-1)
 
     # identity 2, phi = x/z
     def grad_phi(w):
-        g = np.zeros(6)
-        g[0] = 1.0 / w[2]
-        g[2] = -w[0] / w[2] ** 2
+        g = np.zeros_like(w)
+        g[..., 0] = 1.0 / w[..., 2]
+        g[..., 2] = -w[..., 0] / w[..., 2] ** 2
         return g
 
     d2 = _d_oneform(lambda w: _alpha_df_J(w, grad_phi), v, step)
-    phi = v[0] / z
-    dphi = grad_phi(v)
-    r2 = np.max(np.abs(-d2 - (phi * Om - wedge(dphi, th))))
+    phi = v[..., 0, None, None] / z
+    r2 = worst(-d2 - (phi * Om - wedge(grad_phi(v), th)))
 
     # identity 3, V^3 = dp_z + theta/z
     def v3(w):
-        out = np.zeros(6)
-        out[5] = 1.0
-        out[0:3] += w[3:6] / w[2]
+        out = np.zeros_like(w)
+        out[..., 5] = 1.0
+        out[..., 0:3] += w[..., 3:6] / w[..., 2, None]
         return out
 
     d3 = _d_oneform(v3, v, step)
-    dzinv = np.zeros(6)
-    dzinv[2] = -1.0 / z**2
-    r3 = np.max(np.abs(-d3 - (-wedge(dzinv, th) + Om / z)))
+    dzinv = np.zeros_like(v)
+    dzinv[..., 2] = -1.0 / v[..., 2] ** 2
+    r3 = worst(-d3 - (-wedge(dzinv, th) + Om / z))
 
-    return {"dH_J": float(r1), "dH_J_algebraic": float(r1b),
-            "phi_x_over_z": float(r2), "vertical_coframe": float(r3)}
+    return {"dH_J": r1, "dH_J_algebraic": r1b, "phi_x_over_z": r2,
+            "vertical_coframe": r3}
 
 
 # ---------------------------------------------------------------------------

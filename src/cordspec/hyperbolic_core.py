@@ -48,46 +48,50 @@ class TangentVec:
         return math.sqrt(float(w @ w)) / self.base.z
 
 
-def metric_tensor(q: PointH3) -> np.ndarray:
-    """Metric matrix h_ij = delta_ij / z^2 at q."""
-    return np.eye(3) / q.z**2
+def metric_tensor(q) -> np.ndarray:
+    """Metric matrices h_ij = delta_ij / z^2 at points q of shape (..., 3)."""
+    return np.eye(3) / np.asarray(q, dtype=float)[..., 2, None, None] ** 2
 
 
-def christoffel(q: PointH3) -> np.ndarray:
-    """Christoffel symbols Gamma^a_ij of the hyperbolic metric.
+def christoffel(q) -> np.ndarray:
+    """Christoffel symbols Gamma^a_ij of the hyperbolic metric at points q of
+    shape (..., 3), indexed as gamma[..., a, i, j].
 
     Nonzero symbols: Gamma^3_11 = Gamma^3_22 = 1/z and
     Gamma^1_13 = Gamma^1_31 = Gamma^2_23 = Gamma^2_32 = Gamma^3_33 = -1/z.
-    Indexed as gamma[a, i, j].
     """
-    g = np.zeros((3, 3, 3))
-    iz = 1.0 / q.z
-    g[2, 0, 0] = iz
-    g[2, 1, 1] = iz
-    g[0, 0, 2] = g[0, 2, 0] = -iz
-    g[1, 1, 2] = g[1, 2, 1] = -iz
-    g[2, 2, 2] = -iz
+    iz = 1.0 / np.asarray(q, dtype=float)[..., 2]
+    g = np.zeros(iz.shape + (3, 3, 3))
+    g[..., 2, 0, 0] = g[..., 2, 1, 1] = iz
+    g[..., 0, 0, 2] = g[..., 0, 2, 0] = -iz
+    g[..., 1, 1, 2] = g[..., 1, 2, 1] = -iz
+    g[..., 2, 2, 2] = -iz
     return g
 
 
-def christoffel_fd(q: PointH3, rel_step: float = 1e-5) -> np.ndarray:
-    """Christoffel symbols from central differences of metric_tensor.
+def _central_stencil(q, rel_step: float) -> tuple:
+    """The points q + h e_k and q - h e_k of points q of shape (..., 3), k on
+    the second last axis, and the steps h = rel_step * z, shape (..., 1, 1)."""
+    q = np.asarray(q, dtype=float)
+    h = rel_step * q[..., 2, None, None]
+    e = h * np.eye(3)
+    return q[..., None, :] + e, q[..., None, :] - e, h
+
+
+def christoffel_fd(q, rel_step: float = 1e-5) -> np.ndarray:
+    """Christoffel symbols from central differences of metric_tensor, at
+    points q of shape (..., 3), with step rel_step * z.
 
     Independent Levi-Civita computation used as an oracle for christoffel.
     """
-    h = rel_step * q.z
-    c = q.coords()
-    dg = np.zeros((3, 3, 3))  # dg[k, i, j] = d_k g_ij
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = h
-        gp = metric_tensor(PointH3.from_coords(c + e))
-        gm = metric_tensor(PointH3.from_coords(c - e))
-        dg[k] = (gp - gm) / (2 * h)
+    plus, minus, h = _central_stencil(q, rel_step)
+    # dg[..., k, i, j] = d_k g_ij
+    dg = (metric_tensor(plus) - metric_tensor(minus)) / (2 * h[..., None])
     ginv = np.linalg.inv(metric_tensor(q))
     # Gamma^a_ij = g^am (d_i g_mj + d_j g_mi - d_m g_ij) / 2
-    return 0.5 * np.einsum("am,imj->aij", ginv, dg + dg.transpose(2, 1, 0)
-                           - dg.transpose(1, 0, 2))
+    return 0.5 * np.einsum("...am,...imj->...aij", ginv,
+                           dg + np.swapaxes(dg, -1, -3)
+                           - np.swapaxes(dg, -2, -3))
 
 
 def inner(X: TangentVec, Y: TangentVec) -> float:
@@ -106,29 +110,24 @@ def riemann(q: PointH3, X: TangentVec, Y: TangentVec, Z: TangentVec) -> TangentV
     return TangentVec(q, tuple(out))
 
 
-def riemann_fd(q: PointH3, X: TangentVec, Y: TangentVec, Z: TangentVec,
-               rel_step: float = 1e-4) -> TangentVec:
-    """Curvature from finite differences of the Christoffel symbols.
+def riemann_fd(q, X, Y, Z, rel_step: float = 1e-4) -> np.ndarray:
+    """Curvature R(X, Y)Z from finite differences of the Christoffel symbols,
+    at points q and for vector components X, Y, Z, all of shape (..., 3);
+    the step is rel_step * z.
 
     R^a_bij = d_i Gamma^a_jb - d_j Gamma^a_ib
               + Gamma^a_im Gamma^m_jb - Gamma^a_jm Gamma^m_ib,
     contracted with X^i Y^j Z^b.  Independent oracle for riemann.
     """
-    h = rel_step * q.z
-    c = q.coords()
-    dgam = np.zeros((3, 3, 3, 3))  # dgam[k, a, i, j] = d_k Gamma^a_ij
-    for k in range(3):
-        e = np.zeros(3)
-        e[k] = h
-        gp = christoffel(PointH3.from_coords(c + e))
-        gm = christoffel(PointH3.from_coords(c - e))
-        dgam[k] = (gp - gm) / (2 * h)
+    plus, minus, h = _central_stencil(q, rel_step)
+    # dgam[..., k, a, i, j] = d_k Gamma^a_ij
+    dgam = (christoffel(plus) - christoffel(minus)) / (2 * h[..., None, None])
     gam = christoffel(q)
-    R = (np.einsum("iajb->abij", dgam) - np.einsum("jaib->abij", dgam)
-         + np.einsum("aim,mjb->abij", gam, gam)
-         - np.einsum("ajm,mib->abij", gam, gam))  # R[a, b, i, j] = R^a_{bij}
-    out = np.einsum("abij,i,j,b->a", R, X.vec(), Y.vec(), Z.vec())
-    return TangentVec(q, tuple(out))
+    R = (np.einsum("...iajb->...abij", dgam)
+         - np.einsum("...jaib->...abij", dgam)
+         + np.einsum("...aim,...mjb->...abij", gam, gam)
+         - np.einsum("...ajm,...mib->...abij", gam, gam))  # R^a_{bij}
+    return np.einsum("...abij,...i,...j,...b->...a", R, X, Y, Z)
 
 
 def distance(q1: PointH3, q2: PointH3) -> float:

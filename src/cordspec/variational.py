@@ -221,7 +221,7 @@ def _shape_operator_diag(q: PointH3, step: float = 1e-6) -> tuple:
     """Diagonal of the horosphere shape operator at q for the normal field
     pointing into the adjacent horoball (numeric covariant derivative of the
     normal field nu = z d_z of the foliation by horizontal horospheres)."""
-    gam = christoffel(q)
+    gam = christoffel(q.coords())
     diag = []
     for comp in range(2):
         e = np.zeros(3)

@@ -43,11 +43,12 @@ def test_criterion_01_curvature_suite():
     for _ in range(100):
         x, y = rng.normal(size=2)
         q = PointH3(x, y, math.exp(rng.normal()))
-        worst = max(worst, float(np.abs(christoffel(q)
-                                        - christoffel_fd(q)).max()))
+        worst = max(worst, float(np.abs(christoffel(q.coords())
+                                        - christoffel_fd(q.coords())).max()))
         X = TangentVec(q, rng.normal(size=3))
         Y = TangentVec(q, rng.normal(size=3))
-        num = inner(riemann_fd(q, X, Y, Y), X)
+        num = inner(TangentVec(q, riemann_fd(q.coords(), X.vec(), Y.vec(),
+                                             Y.vec())), X)
         den = inner(X, X) * inner(Y, Y) - inner(X, Y) ** 2
         worst = max(worst, abs(num / den + 1.0))
     elapsed = time.perf_counter() - t0
@@ -161,9 +162,9 @@ def test_criterion_08_plurisubharmonic_value():
         states.append(CotangentState(PointH3(x, y, z), rng.normal(size=3)))
     for s in states:
         z = s.q.z
-        worst = max(worst, abs(fl.plurisubharmonic_value(s)
+        worst = max(worst, abs(fl.plurisubharmonic_value(s.vector())
                                - (1.0 + z) / z**3))
-    unit = abs(fl.plurisubharmonic_value(states[0]) - 2.0)
+    unit = abs(fl.plurisubharmonic_value(states[0].vector()) - 2.0)
     report(8, f"plurisubharmonic density (1+z)/z^3 on 100 states "
               f"(residual {worst:.2e})", worst <= 1e-5 and unit <= 1e-5)
 
@@ -175,12 +176,13 @@ def test_criterion_09_form_identities():
         x, y = rng.normal(size=2)
         z = math.exp(rng.normal(scale=0.7))
         s = CotangentState(PointH3(x, y, z), rng.normal(size=3))
-        worst = max(worst, max(fl.form_identity_residuals(s).values()))
+        worst = max(worst,
+                    max(fl.form_identity_residuals(s.vector()).values()))
     s = CotangentState(PointH3(0.4, -0.3, 1.3), np.array([0.2, 0.5, -0.4]))
     order_ok = True
     for key in ("phi_x_over_z", "vertical_coframe"):
-        r2 = fl.form_identity_residuals(s, step=2e-2)[key]
-        r1 = fl.form_identity_residuals(s, step=1e-2)[key]
+        r2 = fl.form_identity_residuals(s.vector(), step=2e-2)[key]
+        r1 = fl.form_identity_residuals(s.vector(), step=1e-2)[key]
         order_ok &= 3.4 < r2 / r1 < 4.6
     report(9, f"contact/symplectic form identities (residual {worst:.2e}, "
               "second-order convergence)", worst <= 1e-5 and order_ok)

@@ -6,6 +6,7 @@ import sys
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from cordspec import cli, isometry_group
@@ -51,6 +52,53 @@ def test_verify_impossible_tolerance_fails(capsys):
     assert code == 1
     assert rep["ok"] is False
     assert rep["suites"]["forms"]["pass"] is False
+
+
+def _spy(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that records its positional
+    arguments in calls[name]."""
+    fn = getattr(module, name)
+
+    def wrapped(*args, **kwargs):
+        calls.setdefault(name, []).append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
+def test_verify_suites_draw_the_per_point_loop_samples(monkeypatch):
+    # each stacked suite makes one call per oracle, on exactly the points
+    # that a loop drawing one point (or state) at a time draws
+    calls = {}
+    for name in ("christoffel", "christoffel_fd", "riemann_fd"):
+        _spy(monkeypatch, cli, name, calls)
+    for name in ("form_identity_residuals", "plurisubharmonic_value"):
+        _spy(monkeypatch, cli.flow_integrator, name, calls)
+    for suite in ("curvature", "forms", "psh"):
+        cli._SUITES[suite][0]()
+    assert {k: len(v) for k, v in calls.items()} == dict.fromkeys(calls, 1)
+
+    rng = np.random.default_rng(7)
+    q, X, Y = [], [], []
+    for _ in range(100):
+        x, y = rng.normal(size=2)
+        q.append([x, y, math.exp(rng.normal())])
+        X.append(rng.normal(size=3))
+        Y.append(rng.normal(size=3))
+    for name in ("christoffel", "christoffel_fd"):
+        assert np.array_equal(calls[name][0][0], q)
+    for got, want in zip(calls["riemann_fd"][0], (q, X, Y, Y)):
+        assert np.array_equal(got, want)
+
+    for name, seed in (("form_identity_residuals", 11),
+                       ("plurisubharmonic_value", 13)):
+        rng = np.random.default_rng(seed)
+        states = []
+        for _ in range(30):
+            x, y = rng.normal(size=2)
+            z = math.exp(rng.normal(scale=0.7))
+            states.append([x, y, z, *rng.normal(size=3)])
+        assert np.array_equal(calls[name][0][0], states)
 
 
 def test_verify_unknown_suite_is_config_error(capsys):

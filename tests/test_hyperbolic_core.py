@@ -16,25 +16,32 @@ points = st.builds(PointH3, coord, coord, height)
 
 
 def test_metric_tensor():
-    g = metric_tensor(PointH3(1.0, -2.0, 0.5))
+    g = metric_tensor(PointH3(1.0, -2.0, 0.5).coords())
     assert np.allclose(g, np.eye(3) / 0.25)
+    stacked = metric_tensor([[1.0, -2.0, 0.5], [0.0, 0.0, 2.0]])
+    assert np.array_equal(stacked, [np.eye(3) / 0.25, np.eye(3) / 4.0])
 
 
 def test_christoffel_closed_form():
     z = 0.7
-    G = christoffel(PointH3(0.3, 0.1, z))
+    G = christoffel((0.3, 0.1, z))
     expected = np.zeros((3, 3, 3))
     expected[2, 0, 0] = expected[2, 1, 1] = 1.0 / z
     expected[0, 0, 2] = expected[0, 2, 0] = -1.0 / z
     expected[1, 1, 2] = expected[1, 2, 1] = -1.0 / z
     expected[2, 2, 2] = -1.0 / z
     assert np.allclose(G, expected, atol=1e-14)
+    stacked = christoffel([[[0.3, 0.1, z]], [[0.0, 0.0, 2 * z]]])
+    assert stacked.shape == (2, 1, 3, 3, 3)
+    assert np.array_equal(stacked[0, 0], G)
+    assert np.array_equal(stacked[1, 0], christoffel((0.0, 0.0, 2 * z)))
 
 
 @given(points)
 @settings(max_examples=30, deadline=None)
 def test_christoffel_matches_finite_differences(q):
-    assert np.abs(christoffel(q) - christoffel_fd(q)).max() < 1e-6
+    c = q.coords()
+    assert np.abs(christoffel(c) - christoffel_fd(c)).max() < 1e-6
 
 
 @given(points, st.integers(0, 10**6))
@@ -43,16 +50,14 @@ def test_riemann_matches_finite_differences(q, seed):
     rng = np.random.default_rng(seed)
     X, Y, Z = (TangentVec(q, rng.normal(size=3)) for _ in range(3))
     alg = riemann(q, X, Y, Z).vec()
-    num = riemann_fd(q, X, Y, Z).vec()
+    num = riemann_fd(q.coords(), X.vec(), Y.vec(), Z.vec())
     scale = max(1.0, np.abs(alg).max())
     assert np.abs(alg - num).max() / scale < 1e-5
 
 
 def _central_differences(f, q, h):
-    """d[k] = (f(q + h e_k) - f(q - h e_k)) / 2h."""
-    c = q.coords()
-    return np.array([(f(PointH3.from_coords(c + h * e))
-                      - f(PointH3.from_coords(c - h * e))) / (2 * h)
+    """d[k] = (f(q + h e_k) - f(q - h e_k)) / 2h at one point q."""
+    return np.array([(f(q + h * e) - f(q - h * e)) / (2 * h)
                      for e in np.eye(3)])
 
 
@@ -61,8 +66,8 @@ def test_fd_oracles_match_their_index_loops():
     # same difference quotients; only the summation order differs
     rng = np.random.default_rng(5)
     for _ in range(20):
-        q = PointH3(*rng.normal(size=2), math.exp(rng.normal()))
-        dg = _central_differences(metric_tensor, q, 1e-5 * q.z)
+        q = np.array([*rng.normal(size=2), math.exp(rng.normal())])
+        dg = _central_differences(metric_tensor, q, 1e-5 * q[2])
         ginv = np.linalg.inv(metric_tensor(q))
         gamma = np.zeros((3, 3, 3))
         for a, i, j, m in np.ndindex(3, 3, 3, 3):
@@ -71,7 +76,7 @@ def test_fd_oracles_match_their_index_loops():
         eps = np.finfo(float).eps
         assert (np.abs(christoffel_fd(q) - gamma).max()
                 <= 16 * eps * np.abs(gamma).max())
-        dgam = _central_differences(christoffel, q, 1e-4 * q.z)
+        dgam = _central_differences(christoffel, q, 1e-4 * q[2])
         gam = christoffel(q)
         R = np.zeros((3, 3, 3, 3))
         for a, b, i, j in np.ndindex(3, 3, 3, 3):
@@ -80,9 +85,75 @@ def test_fd_oracles_match_their_index_loops():
                 for m in range(3))
         X, Y, Z = (rng.normal(size=3) for _ in range(3))
         loop = np.einsum("abij,i,j,b->a", R, X, Y, Z)
-        fd = riemann_fd(q, *(TangentVec(q, v) for v in (X, Y, Z))).vec()
+        fd = riemann_fd(q, X, Y, Z)
         scale = np.abs(R).max() * np.abs([X, Y, Z]).max() ** 3
         assert np.abs(fd - loop).max() <= 64 * eps * scale
+
+
+# The per-point bodies that the stacked oracles replaced, kept as references:
+# one point at a time, one stencil point at a time.
+
+def _christoffel_fd_loop(q, rel_step=1e-5):
+    h = rel_step * q[2]
+    dg = np.zeros((3, 3, 3))  # dg[k, i, j] = d_k g_ij
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = h
+        dg[k] = (metric_tensor(q + e) - metric_tensor(q - e)) / (2 * h)
+    ginv = np.linalg.inv(metric_tensor(q))
+    return 0.5 * np.einsum("am,imj->aij", ginv, dg + dg.transpose(2, 1, 0)
+                           - dg.transpose(1, 0, 2))
+
+
+def _riemann_fd_loop(q, X, Y, Z, rel_step=1e-4):
+    h = rel_step * q[2]
+    dgam = np.zeros((3, 3, 3, 3))  # dgam[k, a, i, j] = d_k Gamma^a_ij
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = h
+        dgam[k] = (christoffel(q + e) - christoffel(q - e)) / (2 * h)
+    gam = christoffel(q)
+    R = (np.einsum("iajb->abij", dgam) - np.einsum("jaib->abij", dgam)
+         + np.einsum("aim,mjb->abij", gam, gam)
+         - np.einsum("ajm,mib->abij", gam, gam))
+    return np.einsum("abij,i,j,b->a", R, X, Y, Z)
+
+
+def _curvature_suite_points(n=100, seed=7):
+    """The curvature suite's draws, point by point: q, X and Y."""
+    rng = np.random.default_rng(seed)
+    rows = []
+    for _ in range(n):
+        x, y = rng.normal(size=2)
+        z = math.exp(rng.normal())
+        u, v = rng.normal(size=3), rng.normal(size=3)
+        rows.append([x, y, z, *u, *v])
+    rows = np.array(rows)
+    return rows[:, :3], rows[:, 3:6], rows[:, 6:]
+
+
+def test_stacked_fd_oracles_equal_their_point_loops():
+    # the same difference quotients and contractions on every row: a row of
+    # a stack is at most a few ulps of the largest term away from the loop
+    eps = np.finfo(float).eps
+    q, X, Y = _curvature_suite_points()
+    gam = christoffel_fd(q)
+    R = riemann_fd(q, X, Y, Y)
+    assert gam.shape == (100, 3, 3, 3) and R.shape == (100, 3)
+    for k in range(len(q)):
+        loop = _christoffel_fd_loop(q[k])
+        assert np.abs(gam[k] - loop).max() <= 4 * eps * np.abs(loop).max()
+        loop = _riemann_fd_loop(q[k], X[k], Y[k], Y[k])
+        scale = (np.abs(christoffel(q[k])).max() ** 2
+                 * np.abs([X[k], Y[k]]).max() ** 3)
+        assert np.abs(R[k] - loop).max() <= 64 * eps * scale
+    # a batch of one is the unbatched call, and batch axes may be nested
+    assert np.array_equal(christoffel_fd(q[:1])[0], christoffel_fd(q[0]))
+    assert np.array_equal(riemann_fd(q[:1], X[:1], Y[:1], Y[:1])[0],
+                          riemann_fd(q[0], X[0], Y[0], Y[0]))
+    nested = riemann_fd(q.reshape(10, 10, 3), X.reshape(10, 10, 3),
+                        Y.reshape(10, 10, 3), Y.reshape(10, 10, 3))
+    assert np.array_equal(nested.reshape(100, 3), R)
 
 
 @given(points, st.integers(0, 10**6))
