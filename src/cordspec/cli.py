@@ -231,16 +231,14 @@ def run_index(cfg: RunConfig, constant_chord=False) -> tuple:
     except ValueError as e:
         raise ConfigError(str(e))
     # at one height the Hessian depends on the cord only through its
-    # length, so it is assembled on the vertical cord over 0 of that length:
-    # one solve per length rounded to 9 digits, the key that orders the
-    # rows, so float noise in the length neither splits it nor prints two
-    # eigenvalues for it
+    # length: one solve per length rounded to 9 digits, the key that orders
+    # the rows, so float noise in the length neither splits it nor prints
+    # two eigenvalues for it
     rows, spectra = [], {}
     for word, ell in zip(classes.words, classes.lengths):
         key = round(ell, 9)
         if key not in spectra:
-            cord = cord_engine.Cord.from_vertical(a0, 0j, ell)
-            H = variational.hessian(cord, N=cfg.mesh_size)
+            H = variational.hessian(ell, a0, cfg.mesh_size)
             spectra[key] = (*variational.index_nullity(H),
                             variational.smallest_eigenvalue(H))
         idx, nul, lam = spectra[key]

@@ -68,7 +68,7 @@ class Moebius:
 def apply_boundary(g: Moebius, w):
     """Action on the boundary sphere C u {inf}."""
     if is_infinity(w):
-        if abs(g.c) < 1e-15:
+        if abs(g.c) < PERIPHERAL_TOL:
             return INFINITY
         return g.a / g.c
     den = g.c * w + g.d
@@ -181,13 +181,20 @@ def load_presentation(path) -> GroupPresentation:
         a, b = complex(*gd["a"]), complex(*gd["b"])
         c, d = complex(*gd["c"]), complex(*gd["d"])
         gens.append(Moebius(a, b, c, d))
+    lattice = data["cusp_lattice"]
+    try:  # verify_presentation checks the lattice only when it has one
+        (m1, m2), (l1, l2) = lattice
+        lattice = [[float(m1), float(m2)], [float(l1), float(l2)]]
+    except (TypeError, ValueError):
+        raise ValueError(f"cusp_lattice {lattice!r} is not two 2-vectors") \
+            from None
     return GroupPresentation(
         name=data.get("name", "unnamed"),
         generators=gens,
         relators=list(data["relators"]),
         meridian=data["meridian"],
         longitude=data["longitude"],
-        cusp_lattice=data["cusp_lattice"],
+        cusp_lattice=lattice,
     )
 
 

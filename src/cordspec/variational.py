@@ -11,8 +11,8 @@ from functools import cached_property
 import numpy as np
 
 from .cord_engine import Cord
-from .hyperbolic_core import (PointH3, TangentVec, christoffel, distance,
-                              distance_gradient, riemann)
+from .hyperbolic_core import (PointH3, christoffel, distance,
+                              distance_gradient)
 from .isometry_group import Horoball
 
 
@@ -96,8 +96,10 @@ class HessianForm:
     diag: np.ndarray  # (2, N+1)
     off: np.ndarray  # (2, N)
     mass: np.ndarray  # (N+1,)
-    ell: float
-    N: int
+
+    @property
+    def N(self) -> int:
+        return len(self.mass) - 1
 
     @property
     def zero_band(self) -> float:
@@ -108,8 +110,8 @@ class HessianForm:
     def _sturm(self) -> tuple:
         """Per distinct component, the tridiagonal T = M^{-1/2} H M^{-1/2}
         as float lists (diagonal, squared off-diagonal with a leading 0),
-        its pivot guard and its multiplicity.  Equal components (the direct
-        route) are stored once and counted twice."""
+        its pivot guard and its multiplicity.  Equal components (as ``hessian``
+        gives) are stored once and counted twice."""
         m = self.mass
         if np.array_equal(*self.diag) and np.array_equal(*self.off):
             comps = [(0, 2)]
@@ -144,77 +146,37 @@ class HessianForm:
         return total
 
 
-def hessian(cord: Cord, N: int = 256, route: str = "direct",
-            curvature_sign: float = 1.0,
-            include_boundary: bool = True) -> HessianForm:
-    """Second variation quadratic form of the energy at a nondegenerate cord,
-    assembled over transverse variation fields in the standard vertical
-    frame of the cord.
+def hessian(ell: float, a0: float, N: int = 256) -> HessianForm:
+    """Second variation quadratic form of the energy at a nondegenerate cord
+    of length ``ell`` from the horosphere {z = a0}, over transverse
+    variation fields in the cord's standard vertical frame.
 
-    route "direct": integrand |DV/dt|^2 + |c'|^2 |V|^2 with the Robin
-    boundary terms l(|V(0)|^2 + |V(1)|^2), assembled with whole-array
-    operations.
-    route "curvature": the general form with -<R(V, c')c', V> evaluated by
-    the curvature operator and the boundary contribution |c'| <S V, V> via
-    the numeric shape operator of the horospheres, assembled node by node.
-    The ``curvature_sign`` and ``include_boundary`` switches exist only for
-    constructing synthetic counterexamples in tests.
+    An isometry fixing infinity carries the cord onto the vertical one over
+    0, so the form depends on nothing else, and its two components are
+    equal.  Integrand |DV/dt|^2 + |c'|^2 |V|^2, since -<R(V, c')c', V> =
+    |c'|^2 |V|^2 in curvature -1, with the Robin boundary terms
+    l(|V(0)|^2 + |V(1)|^2), since the horospheres' shape operator is the
+    identity; assembled with whole-array operations.
     """
-    if cord.length <= 0:
+    if ell <= 0:
         raise ValueError("constant chord: use constant_chord_hessian")
-    ell = cord.length
-    a0 = 1.0 / cord.profile[0]
     z = a0 * np.exp(-ell * (np.arange(N + 1) / N))  # node heights
     h = 1.0 / N
     # DV/dt at the midpoint of segment k: ca V_k + cb V_{k+1}
     ca = -1.0 / h + ell / 2.0
     cb = 1.0 / h + ell / 2.0
-    if route == "curvature":
-        diag, off = _curvature_bands(cord, z, ell, ca, cb, curvature_sign)
-        s0 = _shape_operator_diag(PointH3(0.0, 0.0, z[0]))
-        s1 = _shape_operator_diag(PointH3(0.0, 0.0, z[N]))
-    else:
-        w = 1.0 / (z[:-1] * z[1:])  # 1/z^2 at the geometric midpoint height
-        # h * w * (ca V_k + cb V_{k+1})^2 plus the curvature term
-        # h * l^2 * w * ((V_k + V_{k+1}) / 2)^2 on the midpoint value
-        q = h * curvature_sign * ell**2 * w / 4.0
-        d = np.zeros(N + 1)
-        d[:-1] += h * w * ca * ca + q
-        d[1:] += h * w * cb * cb + q
-        o = h * w * ca * cb + q
-        diag, off = np.array([d, d]), np.array([o, o])
-        s0 = s1 = (1.0, 1.0)
-    if include_boundary:
-        diag[:, 0] += ell * np.asarray(s0) / z[0] ** 2
-        diag[:, N] += ell * np.asarray(s1) / z[N] ** 2
+    w = 1.0 / (z[:-1] * z[1:])  # 1/z^2 at the geometric midpoint height
+    # h * w * (ca V_k + cb V_{k+1})^2 plus the curvature term
+    # h * l^2 * w * ((V_k + V_{k+1}) / 2)^2 on the midpoint value
+    q = h * ell**2 * w / 4.0
+    d = np.zeros(N + 1)
+    d[:-1] += h * w * ca * ca + q
+    d[1:] += h * w * cb * cb + q
+    d[[0, N]] += ell / z[[0, N]] ** 2  # the Robin terms
+    o = h * w * ca * cb + q
     mass = h / z**2  # trapezoid L^2 mass
     mass[[0, N]] /= 2.0
-    return HessianForm(diag, off, mass, ell, N)
-
-
-def _curvature_bands(cord: Cord, z: np.ndarray, ell: float, ca: float,
-                     cb: float, curvature_sign: float) -> tuple:
-    """Bands of the curvature route, one segment at a time, with
-    -<R(V, c')c', V> from the curvature operator at each segment midpoint."""
-    N = len(z) - 1
-    h = 1.0 / N
-    diag = np.zeros((2, N + 1))
-    off = np.zeros((2, N))
-    for k in range(N):
-        zm = math.sqrt(z[k] * z[k + 1])  # geometric midpoint height
-        w = 1.0 / zm**2
-        mid = cord.point((k + 0.5) / N)
-        qmid = PointH3(mid.x, mid.y, zm)
-        cdot = TangentVec(qmid, (0.0, 0.0, -ell * zm))
-        for comp in range(2):
-            e = [0.0, 0.0, 0.0]
-            e[comp] = 1.0
-            Rv = riemann(qmid, TangentVec(qmid, tuple(e)), cdot, cdot)
-            q = h * curvature_sign * -Rv.v[comp] / zm**2 / 4.0
-            diag[comp, k] += h * w * ca * ca + q
-            diag[comp, k + 1] += h * w * cb * cb + q
-            off[comp, k] = h * w * ca * cb + q
-    return diag, off
+    return HessianForm(np.array([d, d]), np.array([o, o]), mass)
 
 
 def _shape_operator_diag(q: PointH3, step: float = 1e-6) -> tuple:

@@ -102,10 +102,8 @@ def test_criterion_04_shooting_matches_closed_form(fig8):
 
 def test_criterion_05_morse_index(fig8):
     ok = True
-    for w in ce.canonical_classes(fig8, A0, 2.5).words:
-        cord = ce.cord_for_class(fig8.evaluate(w), A0)
-        H = va.hessian(cord, N=256)
-        ok &= va.index_nullity(H) == (0, 0)
+    for ell in ce.canonical_classes(fig8, A0, 2.5).lengths:
+        ok &= va.index_nullity(va.hessian(ell, A0, 256)) == (0, 0)
     ok &= va.constant_chord_hessian(1.0, N=256) == (2, 2)
     report(5, "index 0 / nullity 0 on all short cords; constant chord "
               "kernel = cokernel = 2", ok)

@@ -182,10 +182,16 @@ def test_malformed_holonomy_file_is_config_error(capsys, tmp_path):
                   "relators": [], "meridian": "a", "longitude": "a",
                   "cusp_lattice": [[1, 0], [0, 1]]},
                  # parses, but its relator is not the identity
-                 dict(shipped, relators=["ab"])):
+                 dict(shipped, relators=["ab"]),
+                 # no lattice to check, which index and triangle need
+                 dict(shipped, cusp_lattice=[])):
         bad.write_text(json.dumps(data))
         code, rep, err = run(capsys, ["spectrum", "--input", str(bad)])
         assert code == 2 and rep is None and "cannot load" in err
+    for cmd in (["index"], ["triangle", "b", "b", "BB"]):
+        code, rep, err = run(capsys, [*cmd, "--input", str(bad)])
+        assert code == 2 and rep is None
+        assert "error: cannot load holonomy file: cusp_lattice" in err
 
 
 def test_spectrum_bad_cutoff(capsys):

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from cordspec.hyperbolic_core import PointH3, distance
-from cordspec.isometry_group import (INFINITY, BudgetExceeded, CoverError,
-                                     GroupPresentation, Horoball, Moebius,
-                                     _entries, _psl_keys, apply_boundary,
-                                     apply_h3, center_key, classify,
-                                     cover_margin, double_coset_canonical,
+from cordspec.isometry_group import (INFINITY, PERIPHERAL_TOL, BudgetExceeded,
+                                     CoverError, GroupPresentation, Horoball,
+                                     Moebius, _entries, _psl_keys,
+                                     apply_boundary, apply_h3, center_key,
+                                     classify, cover_margin,
+                                     double_coset_canonical,
                                      enumerate_elements, ford_moves,
                                      image_horoball, is_infinity,
                                      lattice_disks, verify_presentation)
@@ -131,6 +132,18 @@ def test_image_horoball_standard():
     # parabolic fixing infinity: height preserved
     img2 = image_horoball(Moebius(1, 3 + 1j, 0, 1), B)
     assert img2.is_at_infinity() and abs(img2.size - 2.0) < 1e-14
+
+
+def test_peripheral_word_fixes_infinity(fig8):
+    # longitude^10 fixes infinity, but its product rounds c to 1.4e-15;
+    # the boundary action, the image horoball and the class key all call
+    # it peripheral, by one tolerance
+    g = fig8.evaluate(fig8.longitude * 10)
+    assert 1e-15 < abs(g.c) < PERIPHERAL_TOL
+    assert is_infinity(apply_boundary(g, INFINITY))
+    assert image_horoball(g, Horoball(INFINITY, 1.2)).is_at_infinity()
+    with pytest.raises(ValueError, match="peripheral"):
+        center_key(g, fig8)
 
 
 @given(st.integers(0, 10**6))

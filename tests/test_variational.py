@@ -5,7 +5,7 @@ import pytest
 
 from cordspec import cord_engine as ce
 from cordspec import variational as va
-from cordspec.hyperbolic_core import PointH3
+from cordspec.hyperbolic_core import PointH3, TangentVec, riemann
 from cordspec.isometry_group import INFINITY, Horoball
 
 A0 = 1.2
@@ -13,6 +13,43 @@ A0 = 1.2
 
 def vertical_cord(length=1.3):
     return ce.Cord.from_vertical(A0, 0j, length)
+
+
+def curvature_form(ell, a0, N, curvature_sign=1.0, boundary=True):
+    """The index form along the vertical cord of length ell from {z = a0},
+    assembled one segment at a time from the curvature operator: the
+    general integrand |DV/dt|^2 - <R(V, c')c', V> at each segment midpoint,
+    and the boundary terms |c'| <S V, V> from the numeric shape operator of
+    the horospheres.  The reference oracle for ``hessian``'s bands.  With
+    the curvature sign flipped and no boundary terms it is a form of
+    positive index, which shows that the counts can see one."""
+    z = a0 * np.exp(-ell * (np.arange(N + 1) / N))  # node heights
+    h = 1.0 / N
+    # DV/dt at the midpoint of segment k: ca V_k + cb V_{k+1}
+    ca = -1.0 / h + ell / 2.0
+    cb = 1.0 / h + ell / 2.0
+    diag = np.zeros((2, N + 1))
+    off = np.zeros((2, N))
+    for k in range(N):
+        zm = math.sqrt(z[k] * z[k + 1])  # geometric midpoint height
+        w = 1.0 / zm**2
+        qmid = PointH3(0.0, 0.0, zm)
+        cdot = TangentVec(qmid, (0.0, 0.0, -ell * zm))
+        for comp in range(2):
+            e = [0.0, 0.0, 0.0]
+            e[comp] = 1.0
+            Rv = riemann(qmid, TangentVec(qmid, tuple(e)), cdot, cdot)
+            q = h * curvature_sign * -Rv.v[comp] / zm**2 / 4.0
+            diag[comp, k] += h * w * ca * ca + q
+            diag[comp, k + 1] += h * w * cb * cb + q
+            off[comp, k] = h * w * ca * cb + q
+    if boundary:
+        for node in (0, N):
+            s = va._shape_operator_diag(PointH3(0.0, 0.0, z[node]))
+            diag[:, node] += ell * np.asarray(s) / z[node] ** 2
+    mass = h / z**2  # trapezoid L^2 mass
+    mass[[0, N]] /= 2.0
+    return va.HessianForm(diag, off, mass)
 
 
 def bisection_eigenvalue(H):
@@ -115,9 +152,8 @@ def test_first_variation_matches_finite_differences():
 def test_hessian_positive_index_zero():
     # index and nullity stay (0, 0) under mesh refinement
     for length in (0.4, 1.6, 3.0):
-        cord = vertical_cord(length)
         for N in (64, 256, 1024):
-            H = va.hessian(cord, N=N)
+            H = va.hessian(length, A0, N)
             idx, nul = va.index_nullity(H)
             assert (idx, nul) == (0, 0)
             # Robin boundary terms push the spectrum above l^2
@@ -125,15 +161,17 @@ def test_hessian_positive_index_zero():
 
 
 @pytest.mark.parametrize("kwargs", [
-    {}, {"curvature_sign": -1.0, "include_boundary": False}])
+    {}, {"curvature_sign": -1.0, "boundary": False}])
 def test_band_eigenvalues_match_dense_generalized_solve(kwargs):
     from scipy.linalg import block_diag, eigh
 
-    H0 = va.hessian(vertical_cord(2.5), N=128, **kwargs)
-    # the direct route gives equal components, which are counted once and
-    # doubled; a rescaled second component makes the two problems differ
+    # hessian's form, or the sign-flipped, boundary-free oracle form
+    H0 = curvature_form(2.5, A0, 128, **kwargs) if kwargs else \
+        va.hessian(2.5, A0, 128)
+    # both give equal components, which are counted once and doubled; a
+    # rescaled second component makes the two problems differ
     H1 = va.HessianForm(H0.diag * [[1.0], [1.5]], H0.off * [[1.0], [0.5]],
-                        H0.mass, H0.ell, H0.N)
+                        H0.mass)
     assert not np.array_equal(*H1.diag)
     zero_band = 10.0 / 128**2
     for H in (H0, H1):
@@ -165,11 +203,11 @@ class _CountedList(list):
 
 @pytest.mark.parametrize("a0, length, N", [
     *((A0, ell, N) for ell in (0.3, 1.0, 2.5, 5.0) for N in (64, 256)),
-    # index's auto height: Newton's steps reach rounding level and, undoubled,
-    # crept through 309 passes to the root
+    # a height where Newton's steps reach rounding level: undoubled, they
+    # crept through 309 passes to the root, and doubled they take 16
     (1.0000000000000016, 2.197224577336224, 1024)])
 def test_newton_start_returns_the_bisection_float(a0, length, N):
-    H = va.hessian(ce.Cord.from_vertical(a0, 0j, length), N=N)
+    H = va.hessian(length, a0, N)
     expected = bisection_eigenvalue(H)
     # count every pivot pass, Sturm count or Newton step: plain bisection
     # makes 55 to 58
@@ -186,14 +224,14 @@ def test_rayleigh_bound_without_an_eigenvalue_below_raises():
     # 9.999999999999998, below the eigenvalue, so the upper end holds none
     n = 17
     H = va.HessianForm(np.ones((2, n)), np.zeros((2, n - 1)),
-                       np.full(n, 0.1), 1.0, n - 1)
+                       np.full(n, 0.1))
     assert H.count_below(10.0) == 2 * n
     with pytest.raises(ArithmeticError, match="Rayleigh quotient"):
         va.smallest_eigenvalue(H)
     # a quotient that rounds onto the eigenvalue holds it: a zero pivot
     # counts as negative, as in dstebz
     H = va.HessianForm(np.full((2, n), 2.0), np.zeros((2, n - 1)),
-                       np.ones(n), 1.0, n - 1)
+                       np.ones(n))
     assert va.smallest_eigenvalue(H) == 2.0
 
 
@@ -203,8 +241,7 @@ def test_negative_smallest_eigenvalue_matches_dense_solve(length):
     # positive, so the bisection starts from the Gershgorin bound
     from scipy.linalg import eigh
 
-    H = va.hessian(vertical_cord(length), N=64, curvature_sign=-1.0,
-                   include_boundary=False)
+    H = curvature_form(length, A0, 64, curvature_sign=-1.0, boundary=False)
     d, e = H.diag[0], H.off[0]
     A = np.diag(d) + np.diag(e, 1) + np.diag(e, -1)
     dense = eigh(A, np.diag(H.mass), eigvals_only=True)
@@ -214,25 +251,35 @@ def test_negative_smallest_eigenvalue_matches_dense_solve(length):
 
 
 def test_hessian_routes_agree():
-    cord = vertical_cord(1.2)
-    Hd = va.hessian(cord, N=128, route="direct")
-    Hc = va.hessian(cord, N=128, route="curvature")
+    # hessian's whole-array bands against the curvature-operator oracle
+    Hd = va.hessian(1.2, A0, 128)
+    Hc = curvature_form(1.2, A0, 128)
     for band in ("diag", "off", "mass"):
         assert np.abs(getattr(Hd, band) - getattr(Hc, band)).max() < 1e-8
 
 
+@pytest.mark.parametrize("N", [64, 256])
+@pytest.mark.parametrize("length", [0.3, 1.0, 2.5, 5.0])
+def test_index_form_does_not_depend_on_the_height(length, N):
+    # z -> s z is an isometry that scales the form and the mass by 1/s^2
+    # alike, so index solves once per length, whatever the height
+    forms = [va.hessian(length, a0, N) for a0 in (0.5, 1.0, 1.2, 3.0)]
+    counts = {va.index_nullity(H) for H in forms}
+    assert counts == {(0, 0)}
+    lams = [va.smallest_eigenvalue(H) for H in forms]
+    assert max(lams) - min(lams) <= 1e-11 * min(lams)
+
+
 def test_hessian_mesh_consistency():
-    cord = vertical_cord(1.0)
-    e64 = va.smallest_eigenvalue(va.hessian(cord, N=64))
-    e256 = va.smallest_eigenvalue(va.hessian(cord, N=256))
+    e64 = va.smallest_eigenvalue(va.hessian(1.0, A0, 64))
+    e256 = va.smallest_eigenvalue(va.hessian(1.0, A0, 256))
     assert abs(e64 - e256) <= 1.0 / 64
 
 
 def test_synthetic_sign_flip_creates_index():
     # flipping the curvature sign and dropping the boundary terms must
     # produce negative directions: validates that the detector can see them
-    cord = vertical_cord(2.5)
-    H = va.hessian(cord, N=128, curvature_sign=-1.0, include_boundary=False)
+    H = curvature_form(2.5, A0, 128, curvature_sign=-1.0, boundary=False)
     idx, _ = va.index_nullity(H)
     assert idx > 0
 
@@ -293,21 +340,19 @@ def test_constant_chord_count_free_of_scale_and_mesh(a0, N):
 
 
 def test_enumerated_cords_all_stable(fig8):
-    for w in ce.canonical_classes(fig8, A0, 2.0).words:
-        cord = ce.cord_for_class(fig8.evaluate(w), A0)
-        H = va.hessian(cord, N=128)
+    for ell in ce.canonical_classes(fig8, A0, 2.0).lengths:
+        H = va.hessian(ell, A0, 128)
         assert va.index_nullity(H) == (0, 0)
-        assert va.smallest_eigenvalue(H) > cord.length**2
+        assert va.smallest_eigenvalue(H) > ell**2
 
 
 def test_five_two_cords_all_stable(five_two):
     # the paper's theorem on a second, non-arithmetic knot: at the embedded
     # height every cord below the cutoff has index 0 and nullity 0
     a0 = ce.max_embedded_height(five_two)
-    words = ce.canonical_classes(five_two, a0, 3.0).words
-    assert len(words) > 10
-    for w in words:
-        cord = ce.cord_for_class(five_two.evaluate(w), a0)
-        H = va.hessian(cord, N=128)
+    lengths = ce.canonical_classes(five_two, a0, 3.0).lengths
+    assert len(lengths) > 10
+    for ell in lengths:
+        H = va.hessian(ell, a0, 128)
         assert va.index_nullity(H) == (0, 0)
-        assert va.smallest_eigenvalue(H) > cord.length**2
+        assert va.smallest_eigenvalue(H) > ell**2
