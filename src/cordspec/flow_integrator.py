@@ -45,14 +45,6 @@ def hamiltonian(s: CotangentState) -> float:
     return 0.5 * s.q.z**2 * float(s.p @ s.p)
 
 
-def _rhs(x, y, z, px, py, pz) -> tuple:
-    """Coordinate Hamiltonian vector field of the kinetic Hamiltonian:
-    X_H = z^2 (p_x d_x + p_y d_y + p_z d_z) - z |p|^2 d_{p_z}."""
-    z2 = z * z
-    return (z2 * px, z2 * py, z2 * pz, 0.0, 0.0,
-            -z * (px * px + py * py + pz * pz))
-
-
 def hamiltonian_gradient(v) -> np.ndarray:
     """Analytic dH in coordinates at states v of shape (..., 6) (used for the
     form computations)."""
@@ -142,24 +134,29 @@ def integrate_flow(s0: CotangentState, T: float, dt: float,
 def _midpoint_step(v, dt: float, tol: float = 1e-13,
                    max_iter: int = 60) -> tuple:
     """One step v -> v' = v + dt X_H((v + v') / 2) on the six coordinates,
-    by fixed-point iteration from the explicit Euler predictor."""
+    by fixed-point iteration from the explicit Euler predictor.  The field,
+    X_H = z^2 (p_x d_x + p_y d_y + p_z d_z) - z |p|^2 d_{p_z}, fixes p_x
+    and p_y."""
     x, y, z, px, py, pz = v
-    vn = tuple(a + dt * b for a, b in zip(v, _rhs(x, y, z, px, py, pz)))
-    res = math.nan
+    pp = px * px + py * py
+    z2 = z * z
+    xn, yn, zn = x + dt * (z2 * px), y + dt * (z2 * py), z + dt * (z2 * pz)
+    pzn = pz + dt * (-z * (pp + pz * pz))
+    dx = dy = dz = dpz = math.nan
     for _ in range(max_iter):
-        xn, yn, zn, pxn, pyn, pzn = vn
-        f = _rhs(0.5 * (x + xn), 0.5 * (y + yn), 0.5 * (z + zn),
-                 0.5 * (px + pxn), 0.5 * (py + pyn), 0.5 * (pz + pzn))
-        vnew = (x + dt * f[0], y + dt * f[1], z + dt * f[2],
-                px + dt * f[3], py + dt * f[4], pz + dt * f[5])
-        diff = [abs(a - b) for a, b in zip(vnew, vn)]
-        # tol > NaN is false, so a state with a NaN never converges
-        if all(map(tol.__gt__, diff)):
-            return vnew
-        res = max(diff)
-        vn = vnew
+        zm, pzm = 0.5 * (z + zn), 0.5 * (pz + pzn)
+        z2 = zm * zm
+        x1, y1 = x + dt * (z2 * px), y + dt * (z2 * py)
+        z1, pz1 = z + dt * (z2 * pzm), pz + dt * (-zm * (pp + pzm * pzm))
+        dx, dy = abs(x1 - xn), abs(y1 - yn)
+        dz, dpz = abs(z1 - zn), abs(pz1 - pzn)
+        # d < tol is false for a NaN, so a state with a NaN never converges
+        if dx < tol and dy < tol and dz < tol and dpz < tol:
+            return (x1, y1, z1, px, py, pz1)
+        xn, yn, zn, pzn = x1, y1, z1, pz1
     raise RuntimeError(f"implicit midpoint step did not converge in "
-                       f"{max_iter} iterations; residual {res:.3g}")
+                       f"{max_iter} iterations; residual "
+                       f"{max(dx, dy, dz, dpz):.3g}")
 
 
 def geodesic_residual(path: np.ndarray, dt: float) -> float:
@@ -366,19 +363,21 @@ def shoot_neumann(B0: Horoball, g: Moebius,
     w = 1.0 + s * s + t * t
     P = PointH3(cx + x, cy + y, a0)
     Q = PointH3(cx + 2 * r * s / w, cy + 2 * r * t / w, 2 * r / w)
-    gP, gQ = distance_gradient(P, Q)
-    chart = (2 * r / w**2) * np.array([[w - 2 * s * s, -2 * s * t],
-                                       [-2 * s * t, w - 2 * t * t],
-                                       [-2 * s, -2 * t]])
-    grad = np.concatenate([gP[:2], gQ @ chart])
+    (gx, gy, _), (qx, qy, qz) = distance_gradient(P, Q)
+    # d(P, Q) in the unknowns (x, y, s, t): the gradient at Q contracts with
+    # the chart's Jacobian k [[w - 2s^2, -2st], [-2st, w - 2t^2], [-2s, -2t]]
+    k = 2 * r / w**2
+    c_st = k * (-2 * s * t)
+    gs = qx * (k * (w - 2 * s * s)) + qy * c_st + qz * (k * (-2 * s))
+    gt = qx * c_st + qy * (k * (w - 2 * t * t)) + qz * (k * (-2 * t))
     ell = distance(P, Q)
     land = geodesic_point(P, TangentVec(P, (0.0, 0.0, -a0)), ell)
-    miss = float(np.max(np.abs(land.coords() - Q.coords()))) / a0
-    gnorm = float(np.max(np.abs(grad)))
+    miss = max(abs(land.x - Q.x), abs(land.y - Q.y), abs(land.z - Q.z)) / a0
+    gnorm = max(abs(gx), abs(gy), abs(gs), abs(gt))
     if not (gnorm <= GRAD_TOL and miss <= WITNESS_TOL):
-        raise RuntimeError(f"shooting did not converge: |grad d| {gnorm:.3g} "
+        raise RuntimeError(f"shooting did not converge: |grad d| {gnorm!r} "
                            f"(tolerance {GRAD_TOL:g}), witness miss "
-                           f"{miss:.3g} (tolerance {WITNESS_TOL:g})")
+                           f"{miss!r} (tolerance {WITNESS_TOL:g})")
     return Cord.from_endpoints(start=P, end=Q, length=ell,
                                centers=(B0.center, B1.center))
 

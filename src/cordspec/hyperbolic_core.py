@@ -43,10 +43,6 @@ class TangentVec:
     def vec(self) -> np.ndarray:
         return np.asarray(self.v, dtype=float)
 
-    def norm(self) -> float:
-        w = self.vec()
-        return math.sqrt(float(w @ w)) / self.base.z
-
 
 def metric_tensor(q) -> np.ndarray:
     """Metric matrices h_ij = delta_ij / z^2 at points q of shape (..., 3)."""
@@ -139,20 +135,19 @@ def distance(q1: PointH3, q2: PointH3) -> float:
 
 def distance_gradient(q1: PointH3, q2: PointH3):
     """Gradient of the distance d(q1, q2) with respect to the coordinates of
-    q1 and q2: d(cosh d) / sinh d, with sinh d = sqrt(e (2 + e)) from
-    e = cosh d - 1 = |dq|^2 / (2 z1 z2)."""
+    q1 and q2, as two float triples: d(cosh d) / sinh d, with
+    sinh d = sqrt(e (2 + e)) from e = cosh d - 1 = |dq|^2 / (2 z1 z2)."""
     dx = q1.x - q2.x
     dy = q1.y - q2.y
     dz = q1.z - q2.z
     s = dx * dx + dy * dy + dz * dz
-    e = s / (2.0 * q1.z * q2.z)
+    zz = q1.z * q2.z
+    e = s / (2.0 * zz)
     sh = math.sqrt(max(e * (2.0 + e), 1e-300))
-    g1 = np.array([dx / (q1.z * q2.z),
-                   dy / (q1.z * q2.z),
-                   dz / (q1.z * q2.z) - s / (2.0 * q1.z**2 * q2.z)]) / sh
-    g2 = np.array([-dx / (q1.z * q2.z),
-                   -dy / (q1.z * q2.z),
-                   -dz / (q1.z * q2.z) - s / (2.0 * q1.z * q2.z**2)]) / sh
+    g1 = (dx / zz / sh, dy / zz / sh,
+          (dz / zz - s / (2.0 * q1.z**2 * q2.z)) / sh)
+    g2 = (-dx / zz / sh, -dy / zz / sh,
+          (-dz / zz - s / (2.0 * q1.z * q2.z**2)) / sh)
     return g1, g2
 
 
@@ -161,13 +156,13 @@ def geodesic_point(q: PointH3, v: TangentVec, t: float) -> PointH3:
 
     Closed form: vertical lines and Euclidean semicircles orthogonal to {z=0}.
     """
-    w = v.vec()
-    nrm = v.norm()
+    vx, vy, vz = map(float, v.v)
+    nrm = math.sqrt(vx * vx + vy * vy + vz * vz) / v.base.z
     if nrm == 0.0:
         raise ValueError("zero velocity vector")
     if abs(nrm - 1.0) > 1e-9:
-        w = w / nrm
-    vx, vy, vz = w / q.z  # unit Euclidean direction
+        vx, vy, vz = vx / nrm, vy / nrm, vz / nrm
+    vx, vy, vz = vx / q.z, vy / q.z, vz / q.z  # unit Euclidean direction
     horiz = math.hypot(vx, vy)
     if horiz < 1e-14:
         # vertical geodesic

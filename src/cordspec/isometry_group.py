@@ -182,7 +182,7 @@ def load_presentation(path) -> GroupPresentation:
         c, d = complex(*gd["c"]), complex(*gd["d"])
         gens.append(Moebius(a, b, c, d))
     lattice = data["cusp_lattice"]
-    try:  # verify_presentation checks the lattice only when it has one
+    try:
         (m1, m2), (l1, l2) = lattice
         lattice = [[float(m1), float(m2)], [float(l1), float(l2)]]
     except (TypeError, ValueError):
@@ -199,7 +199,8 @@ def load_presentation(path) -> GroupPresentation:
 
 
 def verify_presentation(rep: GroupPresentation, tol: float = 1e-8) -> dict:
-    """Check relators, peripheral parabolicity, and peripheral commutation.
+    """Check relators, peripheral parabolicity, peripheral commutation, and
+    the cusp lattice, which must be present.
 
     Returns a report dict with residuals and boolean flags; never raises
     on a failed check.
@@ -220,8 +221,12 @@ def verify_presentation(rep: GroupPresentation, tol: float = 1e-8) -> dict:
         flags[f"{label}_fixes_infinity"] = abs(g.c) < tol
     comm = mer.compose(lon).compose(mer.inverse()).compose(lon.inverse())
     flags["peripheral_commute"] = comm.is_close(ident, tol)
-    if rep.cusp_lattice:
+    try:
         mu, lam = rep.lattice_vectors()
+    except (TypeError, ValueError):  # no lattice, or not two 2-vectors
+        flags["lattice_present"] = False
+    else:
+        flags["lattice_present"] = True
         flags["lattice_matches_meridian"] = abs(mer.b / mer.a - mu) < tol
         flags["lattice_matches_longitude"] = abs(lon.b / lon.a - lam) < tol
         flags["lattice_nondegenerate"] = abs((mu.conjugate() * lam).imag) > tol

@@ -75,7 +75,7 @@ def first_variation(path: DiscretePath, V: np.ndarray) -> float:
         q1, q2 = path.nodes[k], path.nodes[k + 1]
         d = distance(q1, q2)
         g1, g2 = distance_gradient(q1, q2)
-        out += N * d * (g1 @ V[k] + g2 @ V[k + 1])
+        out += N * d * (np.dot(g1, V[k]) + np.dot(g2, V[k + 1]))
     return out
 
 

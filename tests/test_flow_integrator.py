@@ -1,10 +1,13 @@
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 
 from cordspec import cord_engine as ce
 from cordspec import flow_integrator as fl
+from cordspec import hyperbolic_core as hc
 from cordspec.flow_integrator import CotangentState
 from cordspec.hyperbolic_core import PointH3, christoffel
 from cordspec.isometry_group import INFINITY, Horoball, image_horoball
@@ -23,13 +26,66 @@ def rand_states(n, seed=3):
     return np.array(out)
 
 
+# The tuple-based midpoint step that the scalar step replaced, kept as the
+# reference: the vector field as a 6-tuple, and a zip over the six
+# coordinates for every update.
+
+def _rhs_loop(x, y, z, px, py, pz):
+    """X_H = z^2 (p_x d_x + p_y d_y + p_z d_z) - z |p|^2 d_{p_z}."""
+    z2 = z * z
+    return (z2 * px, z2 * py, z2 * pz, 0.0, 0.0,
+            -z * (px * px + py * py + pz * pz))
+
+
+def _midpoint_step_loop(v, dt, tol=1e-13, max_iter=60):
+    x, y, z, px, py, pz = v
+    vn = tuple(a + dt * b for a, b in zip(v, _rhs_loop(x, y, z, px, py, pz)))
+    for _ in range(max_iter):
+        xn, yn, zn, pxn, pyn, pzn = vn
+        f = _rhs_loop(0.5 * (x + xn), 0.5 * (y + yn), 0.5 * (z + zn),
+                      0.5 * (px + pxn), 0.5 * (py + pyn), 0.5 * (pz + pzn))
+        vnew = (x + dt * f[0], y + dt * f[1], z + dt * f[2],
+                px + dt * f[3], py + dt * f[4], pz + dt * f[5])
+        if all(abs(a - b) < tol for a, b in zip(vnew, vn)):
+            return vnew
+        vn = vnew
+    raise RuntimeError("implicit midpoint step did not converge")
+
+
+def _flow_path_loop(v, T, dt):
+    sgn = 1.0 if T >= 0 else -1.0
+    path = [v]
+    for _ in range(int(round(abs(T) / dt))):
+        path.append(_midpoint_step_loop(path[-1], sgn * dt))
+    return np.array(path)
+
+
 def test_hamiltonian_and_vector_field():
     s = CotangentState(PointH3(0, 0, 2.0), np.array([0.0, 0.0, 0.5]))
     assert fl.hamiltonian(s) == pytest.approx(0.5)
-    X = np.array(fl._rhs(*s.vector()))
+    X = np.array(_rhs_loop(*s.vector()))
     # dq/dt = z^2 p, dp_z/dt = -z |p|^2
     assert np.allclose(X[:3], [0, 0, 2.0])
     assert np.allclose(X[3:], [0, 0, -0.5])
+    # the reference field is Hamilton's X_H = (dH/dp, -dH/dq) = Om dH
+    Om = fl.symplectic_form_matrix()
+    for v in rand_states(10):
+        np.testing.assert_allclose(_rhs_loop(*v),
+                                   Om @ fl.hamiltonian_gradient(v),
+                                   rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("T", [2.0, -2.0])
+def test_flow_path_equals_the_tuple_step_oracle(T):
+    # the benchmark's flow state, forward and backward: the scalar step
+    # computes the same floats as the tuple step, to the bit
+    state = (0.3, -0.2, 1.1, 0.4, -0.3, 0.5)
+    s0 = CotangentState(PointH3(*state[:3]), state[3:])
+    s1, path = fl.integrate_flow(s0, T=T, dt=1e-3, return_path=True)
+    ref = _flow_path_loop(state, T, 1e-3)
+    assert path.shape == ref.shape == (2001, 6)
+    assert path.tobytes() == ref.tobytes()
+    assert s1.vector().tobytes() == ref[-1].tobytes()
 
 
 def test_flow_conserves_h_long_time():
@@ -85,6 +141,10 @@ def test_unconverged_midpoint_step_raises():
                                np.array([0.4, math.nan, 0.5])).vector()
     with pytest.raises(RuntimeError, match="did not converge"):
         fl._midpoint_step(nan_state, 1e-3)
+    # so must a NaN in any one coordinate
+    for k in range(6):
+        with pytest.raises(RuntimeError, match="did not converge"):
+            fl._midpoint_step(np.where(np.arange(6) == k, math.nan, v), 1e-3)
     # a step far too large for the fixed-point iteration to contract
     s0 = CotangentState(PointH3(0.0, 0.0, 1.0), np.array([0.0, 0.0, 1.0]))
     with pytest.raises(RuntimeError, match="did not converge"):
@@ -356,6 +416,138 @@ def test_long_classes_shoot_to_the_closed_form(fig8):
         ell = ce.cord_length(g, 1.2)
         assert ell > 4.0
         assert abs(fl.shoot_neumann(B0, g).length - ell) < 1e-9
+
+
+# The array acceptance code that the scalar checks replaced, kept as the
+# reference: the shooter's Newton solve, then the distance gradient as
+# arrays, the chart's Jacobian as a 3x2 array and the witness geodesic's
+# direction through numpy.  Returns the cord, |grad d| and the witness miss.
+
+def _distance_gradient_arrays(q1, q2):
+    dx, dy, dz = q1.x - q2.x, q1.y - q2.y, q1.z - q2.z
+    s = dx * dx + dy * dy + dz * dz
+    e = s / (2.0 * q1.z * q2.z)
+    sh = math.sqrt(max(e * (2.0 + e), 1e-300))
+    g1 = np.array([dx / (q1.z * q2.z),
+                   dy / (q1.z * q2.z),
+                   dz / (q1.z * q2.z) - s / (2.0 * q1.z**2 * q2.z)]) / sh
+    g2 = np.array([-dx / (q1.z * q2.z),
+                   -dy / (q1.z * q2.z),
+                   -dz / (q1.z * q2.z) - s / (2.0 * q1.z * q2.z**2)]) / sh
+    return g1, g2
+
+
+def _vertical_geodesic_point_arrays(q, v, t):
+    w = np.asarray(v, dtype=float)
+    nrm = math.sqrt(float(w @ w)) / q.z
+    if abs(nrm - 1.0) > 1e-9:
+        w = w / nrm
+    vx, vy, vz = w / q.z
+    assert math.hypot(vx, vy) < 1e-14  # the witness leaves P vertically
+    return PointH3(q.x, q.y, q.z * math.exp(t if vz > 0 else -t))
+
+
+def _shoot_neumann_arrays(B0, g, initial_guess=(0.05, -0.05, 0.05, -0.05)):
+    a0 = B0.size
+    B1 = image_horoball(g, B0)
+    r = B1.size / 2.0
+    cx, cy = B1.center.real, B1.center.imag
+    x, y, s, t = initial_guess
+    for _ in range(fl.NEWTON_MAX_STEPS):
+        w = 1.0 + s * s + t * t
+        R = x * x + y * y + a0 * a0
+        gx, gy = x * w - 2 * r * s, y * w - 2 * r * t
+        gs, gt = s * R - 2 * r * x, t * R - 2 * r * y
+        c11, c12 = 2 * x * s - 2 * r, 2 * x * t
+        c21, c22 = 2 * y * s, 2 * y * t - 2 * r
+        m11 = R - (c11 * c11 + c21 * c21) / w
+        m12 = -(c11 * c12 + c21 * c22) / w
+        m22 = R - (c12 * c12 + c22 * c22) / w
+        bs = (c11 * gx + c21 * gy) / w - gs
+        bt = (c12 * gx + c22 * gy) / w - gt
+        det = m11 * m22 - m12 * m12
+        ds, dt = (m22 * bs - m12 * bt) / det, (m11 * bt - m12 * bs) / det
+        dx = -(gx + c11 * ds + c12 * dt) / w
+        dy = -(gy + c21 * ds + c22 * dt) / w
+        x, y, s, t = x + dx, y + dy, s + ds, t + dt
+        if all(abs(d) <= fl.NEWTON_STEP_TOL for d in (dx, dy, ds, dt)):
+            break
+    w = 1.0 + s * s + t * t
+    P = PointH3(cx + x, cy + y, a0)
+    Q = PointH3(cx + 2 * r * s / w, cy + 2 * r * t / w, 2 * r / w)
+    gP, gQ = _distance_gradient_arrays(P, Q)
+    chart = (2 * r / w**2) * np.array([[w - 2 * s * s, -2 * s * t],
+                                       [-2 * s * t, w - 2 * t * t],
+                                       [-2 * s, -2 * t]])
+    grad = np.concatenate([gP[:2], gQ @ chart])
+    ell = hc.distance(P, Q)
+    land = _vertical_geodesic_point_arrays(P, (0.0, 0.0, -a0), ell)
+    miss = float(np.max(np.abs(land.coords() - Q.coords()))) / a0
+    cord = ce.Cord.from_endpoints(start=P, end=Q, length=ell,
+                                  centers=(B0.center, B1.center))
+    return cord, float(np.max(np.abs(grad))), miss
+
+
+def _rejected_shot_residuals(monkeypatch, B0, g,
+                             start=(0.05, -0.05, 0.05, -0.05), **constants):
+    """|grad d| and the witness miss as the shot's RuntimeError prints them,
+    and as the array oracle computes them, with the module ``constants``
+    set so that the shot from ``start`` is rejected."""
+    with monkeypatch.context() as m:
+        for name, value in constants.items():
+            m.setattr(fl, name, value)
+        _, ref_gnorm, ref_miss = _shoot_neumann_arrays(B0, g, start)
+        with pytest.raises(RuntimeError, match="did not converge") as err:
+            fl.shoot_neumann(B0, g, initial_guess=start)
+    found = re.search(r"\|grad d\| (\S+) .* witness miss (\S+) ",
+                      str(err.value))
+    return (float(found[1]), float(found[2])), (ref_gnorm, ref_miss)
+
+
+def test_scalar_shot_checks_equal_the_array_oracle(fig8, monkeypatch):
+    # every word of up to 4 letters with a cord at a0 = 1.2 (horoballs
+    # disjoint: a0 |c| > 1)
+    B0 = Horoball(INFINITY, 1.2)
+    words = ["".join(w) for n in range(1, 5)
+             for w in itertools.product("abAB", repeat=n)]
+    eps = np.finfo(float).eps
+    shots = 0
+    for word in words:
+        g = fig8.evaluate(word)
+        if not 1.2 * abs(g.c) > 1:
+            continue
+        shots += 1
+        assert fl.shoot_neumann(B0, g) == _shoot_neumann_arrays(B0, g)[0]
+        # either check alone rejects the shot when its tolerance does, and
+        # both print the residuals the array code computes; the gradient
+        # components sum terms of size about 1 / a0, so "a few ulps" is a
+        # few ulps of 1
+        for tol_name in ("GRAD_TOL", "WITNESS_TOL"):
+            got, ref = _rejected_shot_residuals(monkeypatch, B0, g,
+                                                **{tol_name: -1.0})
+            assert np.abs(np.subtract(got, ref)).max() <= 4 * eps, word
+        # at the cord s = t = 0, so the terms in s and t of the chart's
+        # Jacobian vanish; one Newton step from these starts leaves them
+        # on, and the checks reject that point with their own tolerances.
+        # |grad d| is the largest component; after the step from each start
+        # it is, for every word, d/dx, d/dy, d/ds and d/dt in turn
+        for start in ((0.1, 0.0, -2.0, -2.0), (0.0, 0.1, -2.0, -2.0),
+                      (-0.2, 0.2, 3.0, -2.0), (0.2, -0.2, -2.0, 3.0)):
+            got, ref = _rejected_shot_residuals(monkeypatch, B0, g, start,
+                                                NEWTON_STEP_TOL=math.inf)
+            assert np.abs(np.subtract(got, ref)).max() <= 4 * eps * max(
+                1.0, *ref), (word, start)
+    assert shots == 266
+    # a tolerance of 0 rejects a shot whose residual is not exactly 0; at
+    # 106 of the 266 shots |grad d| is exactly 0, at 204 the miss is
+    g = fig8.evaluate("abA")
+    _, ref_gnorm, ref_miss = _shoot_neumann_arrays(B0, g)
+    assert ref_gnorm > 0 and ref_miss > 0
+    for tol_name in ("GRAD_TOL", "WITNESS_TOL"):
+        monkeypatch.setattr(fl, tol_name, 0.0)
+        with pytest.raises(RuntimeError, match="did not converge"):
+            fl.shoot_neumann(B0, g)
+        monkeypatch.undo()
 
 
 # --------------------------------------------------------------- cylinders

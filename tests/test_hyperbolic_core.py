@@ -180,8 +180,9 @@ def test_distance_closed_form_values():
     q1, q2 = PointH3(0, 0, 1), PointH3(0, 0, 1 + 1e-9)
     assert abs(distance(q1, q2) / math.log1p(q2.z - 1) - 1.0) < 1e-12
     g1, g2 = distance_gradient(q1, q2)
-    assert np.abs(g1 - [0, 0, -1]).max() < 1e-12
-    assert np.abs(g2 - [0, 0, 1 / q2.z]).max() < 1e-12
+    assert all(type(c) is float for c in g1 + g2)  # two float triples
+    assert max(abs(a - b) for a, b in zip(g1, (0, 0, -1))) < 1e-12
+    assert max(abs(a - b) for a, b in zip(g2, (0, 0, 1 / q2.z))) < 1e-12
 
 
 @given(points, points)
@@ -219,6 +220,20 @@ def test_geodesic_initial_velocity():
     qm = geodesic_point(q, TangentVec(q, v), -h)
     fd = (qp.coords() - qm.coords()) / (2 * h)
     assert np.abs(fd - v).max() < 1e-7
+
+
+def test_geodesic_point_normalizes_the_velocity():
+    # the velocity's length does not matter, only its direction; a list,
+    # a tuple and an array of floats are read alike
+    q = PointH3(0.2, -0.5, 1.3)
+    v = np.array([0.6, -0.2, 0.9])
+    unit = geodesic_point(q, TangentVec(q, v / (np.linalg.norm(v) / q.z)),
+                          0.8)
+    for w in (3.0 * v, list(0.25 * v), tuple(v)):
+        qt = geodesic_point(q, TangentVec(q, w), 0.8)
+        assert np.abs(qt.coords() - unit.coords()).max() < 1e-14
+    with pytest.raises(ValueError, match="zero velocity"):
+        geodesic_point(q, TangentVec(q, (0.0, 0.0, 0.0)), 0.8)
 
 
 def test_geodesic_vertical_case():

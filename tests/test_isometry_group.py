@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -173,6 +174,18 @@ def test_figure_eight_presentation(fig8):
     mu, lam = fig8.lattice_vectors()
     assert abs(mu - 1.0) < 1e-12
     assert abs(lam - 2j * math.sqrt(3)) < 1e-12
+
+
+@pytest.mark.parametrize("lattice", [[], [[1.0, 0.0]]])
+def test_presentation_without_a_lattice_does_not_verify(fig8, lattice):
+    # a presentation built in code may lack the lattice that the class
+    # search reads; verifying it must fail, not skip the lattice flags
+    assert verify_presentation(fig8)["flags"]["lattice_present"] is True
+    report = verify_presentation(dataclasses.replace(fig8,
+                                                     cusp_lattice=lattice))
+    assert report["ok"] is False
+    assert report["flags"]["lattice_present"] is False
+    assert "lattice_matches_meridian" not in report["flags"]
 
 
 def test_generator_classification(fig8):
