@@ -5,14 +5,14 @@ torus-knot counterpart."""
 from .hyperbolic_core import PointH3, TangentVec, distance, geodesic_point
 from .isometry_group import (Horoball, Moebius, GroupPresentation,
                              load_presentation, verify_presentation)
-from .cord_engine import (Cord, ActionSpectrum, cord_for_class, cord_length,
-                          enumerate_cords, max_embedded_height)
+from .cord_engine import (Cord, ActionSpectrum, enumerate_cords,
+                          max_embedded_height)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "PointH3", "TangentVec", "distance", "geodesic_point",
     "Horoball", "Moebius", "GroupPresentation", "load_presentation",
-    "verify_presentation", "Cord", "ActionSpectrum", "cord_for_class",
-    "cord_length", "enumerate_cords", "max_embedded_height", "__version__",
+    "verify_presentation", "Cord", "ActionSpectrum", "enumerate_cords",
+    "max_embedded_height", "__version__",
 ]

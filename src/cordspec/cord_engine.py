@@ -1,6 +1,6 @@
 """Geodesic cords of a horo-torus: common perpendiculars between horoballs,
-closed-form lengths, z-profiles, and the action spectrum over the
-peripheral double cosets that the Ford-descent flood enumerates."""
+and the action spectrum, with closed-form lengths, over the peripheral
+double cosets that the Ford-descent flood enumerates."""
 
 from __future__ import annotations
 
@@ -13,9 +13,9 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .hyperbolic_core import PointH3
-from .isometry_group import (INFINITY, PERIPHERAL_TOL, GroupPresentation,
-                             Horoball, Moebius, apply_boundary, apply_h3,
-                             enumerate_elements, ford_moves, image_horoball)
+from .isometry_group import (INFINITY, GroupPresentation, Horoball, Moebius,
+                             apply_h3, enumerate_elements, ford_moves,
+                             image_horoball)
 
 # a0 |c(g)| <= 1 + TANGENT_TOL: the horoballs of g's class touch or overlap
 TANGENT_TOL = 1e-9
@@ -24,17 +24,11 @@ TANGENT_TOL = 1e-9
 @dataclass
 class Cord:
     """A geodesic arc meeting two horospheres orthogonally, given by its
-    endpoints and parameterized on [0, 1] at constant speed ``length``.
-
-    ``profile`` holds (f0, b0) of the reciprocal height along the arc:
-    f(t) = 1/z(c(t)) = f0 cosh(l t) + b0 sinh(l t).
-    ``centers`` are the ideal centers of the two horoballs.
-    """
+    length, its endpoints and the ideal centers of the two horoballs."""
 
     length: float
     start: PointH3
     end: PointH3
-    profile: tuple
     centers: tuple
 
     @classmethod
@@ -44,58 +38,16 @@ class Cord:
         cx, cy = center.real, center.imag
         start = PointH3(cx, cy, a0)
         end = PointH3(cx, cy, a0 * math.exp(-length))
-        return cls(length, start, end, (1.0 / a0, 1.0 / a0), (INFINITY, center))
-
-    @classmethod
-    def from_endpoints(cls, start: PointH3, end: PointH3, length: float,
-                       centers: tuple) -> "Cord":
-        """Cord from its endpoints and horoball centers; the profile
-        coefficients are recovered from the endpoint heights."""
-        f0 = 1.0 / start.z
-        f1 = 1.0 / end.z
-        b0 = (f1 - f0 * math.cosh(length)) / math.sinh(length)
-        return cls(length, start, end, (f0, b0), centers)
-
-    def transformed(self, g: Moebius) -> "Cord":
-        return Cord.from_endpoints(
-            apply_h3(g, self.start), apply_h3(g, self.end), self.length,
-            tuple(apply_boundary(g, c) for c in self.centers))
-
-    def point(self, t: float) -> PointH3:
-        """The point c(t), t in [0, 1], in closed form.
-
-        On the hyperboloid model the geodesic is
-        (sinh((1-t)l) P + sinh(tl) Q) / sinh(l), and 1/z, x/z and y/z are
-        linear there, so each is that combination of its endpoint values.
-        The weights are nonnegative on [0, 1], so nothing cancels.
-        """
-        P, Q = self.start, self.end
-        u = math.sinh((1.0 - t) * self.length)
-        v = math.sinh(t * self.length)
-        s = math.sinh(self.length)
-        f = (u / P.z + v / Q.z) / s
-        fs = f * s
-        return PointH3((u * P.x / P.z + v * Q.x / Q.z) / fs,
-                       (u * P.y / P.z + v * Q.y / Q.z) / fs, 1.0 / f)
-
-    def velocity(self, t: float, h: float = 1e-6) -> np.ndarray:
-        """Coordinate velocity dc/dt by central differences."""
-        return (self.point(t + h).coords() - self.point(t - h).coords()) / (2 * h)
-
-    def energy(self) -> float:
-        return 0.5 * self.length**2
-
-    def action(self) -> float:
-        return -self.energy()
+        return cls(length, start, end, (INFINITY, center))
 
 
 def common_perpendicular(B0: Horoball, B1: Horoball) -> Cord:
-    """The unique geodesic arc meeting both horospheres orthogonally,
-    parameterized on [0, 1] from B0 to B1.
+    """The unique geodesic arc meeting both horospheres orthogonally, from
+    B0 to B1.
 
     Horoballs that are tangent or overlap are rejected, as in
-    ``cord_length``, on e^{l/2} = sqrt(a0 / d) once B0's center is moved
-    to infinity; so are centers that ``image_horoball`` finds equal.
+    ``canonical_classes``, on e^{l/2} = sqrt(a0 / d) once B0's center is
+    moved to infinity; so are centers that ``image_horoball`` finds equal.
     """
     inf0, inf1 = B0.is_at_infinity(), B1.is_at_infinity()
     if inf0 and inf1:
@@ -110,38 +62,8 @@ def common_perpendicular(B0: Horoball, B1: Horoball) -> Cord:
     m = Moebius(0, -1, 1, -B0.center)
     cord = common_perpendicular(image_horoball(m, B0), image_horoball(m, B1))
     back = m.inverse()
-    return Cord.from_endpoints(apply_h3(back, cord.start),
-                               apply_h3(back, cord.end), cord.length,
-                               (B0.center, B1.center))
-
-
-def cord_length(g: Moebius, a0: float) -> float:
-    """Closed-form cord length 2 ln(a0 |c(g)|) for the class of g relative
-    to the horoball {z >= a0}."""
-    ac = abs(g.c)
-    if ac < PERIPHERAL_TOL:
-        raise ValueError("peripheral element has no cord")
-    if a0 * ac <= 1.0 + TANGENT_TOL:
-        raise ValueError("tangent or overlapping horoballs")
-    return 2.0 * math.log(a0 * ac)
-
-
-def cord_for_class(g: Moebius, a0: float) -> Cord:
-    """The cord from {z >= a0} to its image under g, vertical over a/c."""
-    ell = cord_length(g, a0)  # raises for a peripheral g, where c = 0
-    return Cord.from_vertical(a0, g.a / g.c, ell)
-
-
-def z_profile_residual(cord: Cord, samples: int = 100) -> float:
-    """Max deviation of 1/z(c(t)) from the cosh/sinh profile on a grid."""
-    f0, b0 = cord.profile
-    ell = cord.length
-    worst = 0.0
-    for t in np.linspace(0.0, 1.0, samples):
-        f = 1.0 / cord.point(float(t)).z
-        model = f0 * math.cosh(ell * t) + b0 * math.sinh(ell * t)
-        worst = max(worst, abs(f - model))
-    return worst
+    return Cord(cord.length, apply_h3(back, cord.start),
+                apply_h3(back, cord.end), (B0.center, B1.center))
 
 
 _ENTRY_JSON = ('  {\n   "class_word": %s,\n   "length": %r,\n   "energy": %r,'

@@ -354,7 +354,8 @@ def shoot_neumann(B0: Horoball, g: Moebius,
         dx = -(gx + c11 * ds + c12 * dt) / w
         dy = -(gy + c21 * ds + c22 * dt) / w
         x, y, s, t = x + dx, y + dy, s + ds, t + dt
-        if all(abs(d) <= NEWTON_STEP_TOL for d in (dx, dy, ds, dt)):
+        if (abs(dx) <= NEWTON_STEP_TOL and abs(dy) <= NEWTON_STEP_TOL
+                and abs(ds) <= NEWTON_STEP_TOL and abs(dt) <= NEWTON_STEP_TOL):
             break
     else:
         raise RuntimeError(f"shooting did not converge: {NEWTON_MAX_STEPS} "
@@ -378,8 +379,7 @@ def shoot_neumann(B0: Horoball, g: Moebius,
         raise RuntimeError(f"shooting did not converge: |grad d| {gnorm!r} "
                            f"(tolerance {GRAD_TOL:g}), witness miss "
                            f"{miss!r} (tolerance {WITNESS_TOL:g})")
-    return Cord.from_endpoints(start=P, end=Q, length=ell,
-                               centers=(B0.center, B1.center))
+    return Cord(ell, P, Q, (B0.center, B1.center))
 
 
 # ---------------------------------------------------------------------------
@@ -495,18 +495,7 @@ class CylMetric:
     def rho_second(self, a: float) -> float:
         return (self.A(a) ** 2 - self.A_prime(a)) * self.rho(a)
 
-    def metric(self, a: float) -> np.ndarray:
-        """Metric matrix in (a, x, y) coordinates."""
-        r2 = self.rho(a) ** 2
-        return np.diag([1.0, r2, r2])
-
     def sectional_curvatures(self, a: float) -> tuple:
         """(K(dx,dy), K(da,dx)) = (-(rho'/rho)^2, -rho''/rho)."""
         r = self.rho(a)
         return (-((self.rho_prime(a) / r) ** 2), -self.rho_second(a) / r)
-
-
-def cusp_metric(a: float) -> np.ndarray:
-    """Hyperbolic cusp metric da^2 + e^{-2a}(dx^2 + dy^2) in (a, x, y)."""
-    return np.diag([1.0, math.exp(-2 * a), math.exp(-2 * a)])
-

@@ -40,9 +40,6 @@ class TangentVec:
     base: PointH3
     v: tuple
 
-    def vec(self) -> np.ndarray:
-        return np.asarray(self.v, dtype=float)
-
 
 def metric_tensor(q) -> np.ndarray:
     """Metric matrices h_ij = delta_ij / z^2 at points q of shape (..., 3)."""
@@ -90,22 +87,6 @@ def christoffel_fd(q, rel_step: float = 1e-5) -> np.ndarray:
                            - np.swapaxes(dg, -2, -3))
 
 
-def inner(X: TangentVec, Y: TangentVec) -> float:
-    """Riemannian inner product; bases must agree."""
-    if X.base != Y.base:
-        raise ValueError("mismatched base points")
-    return float(X.vec() @ Y.vec()) / X.base.z**2
-
-
-def riemann(q: PointH3, X: TangentVec, Y: TangentVec, Z: TangentVec) -> TangentVec:
-    """Curvature operator R(X,Y)Z = <Z,X>Y - <Z,Y>X (curvature -1)."""
-    for W in (X, Y, Z):
-        if W.base != q:
-            raise ValueError("mismatched base points")
-    out = inner(Z, X) * Y.vec() - inner(Z, Y) * X.vec()
-    return TangentVec(q, tuple(out))
-
-
 def riemann_fd(q, X, Y, Z, rel_step: float = 1e-4) -> np.ndarray:
     """Curvature R(X, Y)Z from finite differences of the Christoffel symbols,
     at points q and for vector components X, Y, Z, all of shape (..., 3);
@@ -113,7 +94,7 @@ def riemann_fd(q, X, Y, Z, rel_step: float = 1e-4) -> np.ndarray:
 
     R^a_bij = d_i Gamma^a_jb - d_j Gamma^a_ib
               + Gamma^a_im Gamma^m_jb - Gamma^a_jm Gamma^m_ib,
-    contracted with X^i Y^j Z^b.  Independent oracle for riemann.
+    contracted with X^i Y^j Z^b.
     """
     plus, minus, h = _central_stencil(q, rel_step)
     # dgam[..., k, a, i, j] = d_k Gamma^a_ij

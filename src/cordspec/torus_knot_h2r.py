@@ -60,31 +60,8 @@ class PolygonP:
     vertices: list
     center_distance: float
 
-    def is_ideal(self, k: int) -> bool:
-        return k % 2 == 0
-
     def vertex(self, k: int) -> complex:
         return self.vertices[(k - 1) % (2 * self.p)]
-
-    def interior_angle(self, k: int) -> float:
-        """Measured angle at vertex v_k between its two polygon edges."""
-        if self.is_ideal(k):
-            return 0.0
-        v = self.vertex(k)
-        d1 = _disk_direction(v, self.vertex(k + 1))
-        d2 = _disk_direction(v, self.vertex(k - 1))
-        cosang = max(-1.0, min(1.0, (d1 * d2.conjugate()).real))
-        return math.acos(cosang)
-
-    def angle_sum(self) -> float:
-        return sum(self.interior_angle(2 * i - 1) for i in range(1, self.p + 1))
-
-
-def _disk_direction(z1: complex, z2: complex) -> complex:
-    """Unit initial direction at z1 of the disk-model geodesic toward z2
-    (the disk model is conformal, so Euclidean angles are hyperbolic)."""
-    w = (z2 - z1) / (1.0 - z1.conjugate() * z2)
-    return w / abs(w)
 
 
 def build_polygon(p: int) -> PolygonP:

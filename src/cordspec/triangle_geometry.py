@@ -1,15 +1,13 @@
-"""Ideal triangles spanned by horoball-center triples, coplanarity reduction
-of chained cord triples into the vertical plane {x = 0}, and truncated
-geodesic triangles (right-angled hexagons bounded by three geodesic sides
-and three horocyclic arcs)."""
+"""Ideal triangles spanned by horoball-center triples, and truncated geodesic
+triangles (right-angled hexagons bounded by three geodesic sides and three
+horocyclic arcs)."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
-from .cord_engine import (TANGENT_TOL, Cord, check_embedded,
-                          common_perpendicular)
+from .cord_engine import TANGENT_TOL, check_embedded, common_perpendicular
 from .isometry_group import (INFINITY, PERIPHERAL_TOL, GroupPresentation,
                              Horoball, Moebius, apply_boundary, center_key,
                              image_horoball, is_infinity, lattice_disks)
@@ -57,68 +55,12 @@ class TruncatedTriangle:
     area: float
     sides: tuple = ()
 
-    def gauss_bonnet_residual(self) -> float:
-        return abs(self.area - math.pi + sum(self.arc_lengths))
-
     def to_dict(self) -> dict:
         return {
             "side_lengths": list(self.side_lengths),
             "arc_lengths": list(self.arc_lengths),
             "area": self.area,
         }
-
-
-def _map_triple(p, q, r) -> Moebius:
-    """Moebius map sending (p, q, r) to (0, 1, infinity)."""
-    if is_infinity(p):
-        return Moebius(0, q - r, 1, -r)
-    if is_infinity(q):
-        return Moebius(1, -p, 1, -r)
-    if is_infinity(r):
-        return Moebius(1, -p, 0, q - p)
-    return Moebius(q - r, -p * (q - r), q - p, -r * (q - p))
-
-
-def reduction_to_vertical_plane(w0, w1, w2) -> Moebius:
-    """Isometry taking the three ideal points to (0, i, infinity), so the
-    totally geodesic plane through them becomes {x = 0} (the plane over the
-    imaginary boundary axis)."""
-    rot = Moebius(1j, 0, 0, 1)
-    return rot.compose(_map_triple(w0, w1, w2))
-
-
-def _chain_centers(c0: Cord, c1: Cord, c2: Cord) -> tuple:
-    """The three distinct horoball centers of a chained cord triple
-    (c0: B0->B1, c1: B1->B2, c2: B2->B0); raises if the chain pattern or
-    the pairwise sharing fails."""
-    w0, w1 = c0.centers
-    if not _same_point(c1.centers[0], w1):
-        raise ValueError("cords are not chained: c1 does not start on c0's end")
-    w2 = c1.centers[1]
-    if not (_same_point(c2.centers[0], w2) and _same_point(c2.centers[1], w0)):
-        raise ValueError("cords are not chained: c2 does not close the triangle")
-    return w0, w1, w2
-
-
-def coplanar_reduce(c0: Cord, c1: Cord, c2: Cord) -> Moebius:
-    """Isometry g moving a chained cord triple into the plane {x = 0}.
-
-    The three cords lie on the totally geodesic plane through their three
-    horoball centers; g maps those centers to (0, i, infinity) on the
-    imaginary boundary axis, so every transformed cord point has x = 0.
-    """
-    w0, w1, w2 = _chain_centers(c0, c1, c2)
-    return reduction_to_vertical_plane(w0, w1, w2)
-
-
-def plane_defect(g: Moebius, cords, samples: int = 17) -> float:
-    """Max |x| over sampled points of the g-images of the given cords."""
-    worst = 0.0
-    for c in cords:
-        gc = c.transformed(g)
-        for k in range(samples):
-            worst = max(worst, abs(gc.point(k / (samples - 1.0)).x))
-    return worst
 
 
 def _arc_length_at_vertex(v, ball: Horoball, u1, u2) -> float:

@@ -1,6 +1,7 @@
-"""Discrete energy functional on paths with endpoints on horospheres,
-first/second variation with free-boundary shape-operator terms, Morse index
-and nullity, and the constant-chord Hessian."""
+"""Second variation of the energy at a cord between horospheres, with the
+free-boundary shape-operator terms: the index form, its Morse index,
+nullity and least eigenvalue, the horospheres' mean curvature, and the
+constant-chord Hessian."""
 
 from __future__ import annotations
 
@@ -10,73 +11,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .cord_engine import Cord
-from .hyperbolic_core import (PointH3, christoffel, distance,
-                              distance_gradient)
-from .isometry_group import Horoball
-
-
-@dataclass
-class DiscretePath:
-    """Uniform-mesh nodal path; boundary nodes sit on the designated
-    horospheres (plane at infinity for node 0, finite ball for node N when
-    horoballs are given)."""
-
-    nodes: list  # N+1 PointH3
-    horoballs: tuple = (None, None)
-
-    @property
-    def N(self) -> int:
-        return len(self.nodes) - 1
-
-    @classmethod
-    def from_cord(cls, cord: Cord, N: int, B0: Horoball = None,
-                  B1: Horoball = None) -> "DiscretePath":
-        nodes = [cord.point(k / N) for k in range(N + 1)]
-        return cls(nodes, (B0, B1))
-
-
-def energy(path: DiscretePath) -> float:
-    """Discrete energy (N/2) sum_k d(q_k, q_{k+1})^2.
-
-    Exact-distance segments make sampled geodesics exactly critical; for a
-    geodesic cord of length l the value is l^2/2.
-    """
-    N = path.N
-    return 0.5 * N * sum(
-        distance(path.nodes[k], path.nodes[k + 1]) ** 2 for k in range(N))
-
-
-def check_boundary_tangent(path: DiscretePath, V: np.ndarray,
-                           tol: float = 1e-8):
-    """Raise unless the endpoint variation vectors are tangent to the
-    designated horospheres."""
-    ends = zip((0, 1), path.horoballs, (path.nodes[0], path.nodes[-1]),
-               (V[0], V[-1]))
-    for t, B, q, v in ends:
-        if B is None:
-            continue
-        if B.is_at_infinity():
-            n = np.array([0.0, 0.0, 1.0])  # the plane's normal
-        else:  # the ball's radius to the node
-            n = q.coords() - (B.center.real, B.center.imag, B.size / 2.0)
-        if abs(v @ n) / np.linalg.norm(n) > tol:
-            raise ValueError(f"V({t}) not tangent to the horosphere")
-
-
-def first_variation(path: DiscretePath, V: np.ndarray) -> float:
-    """Analytic directional derivative dE(path)(V) of the discrete energy for
-    a nodal variation field V (shape (N+1, 3), coordinate components)."""
-    V = np.asarray(V, dtype=float)
-    check_boundary_tangent(path, V)
-    N = path.N
-    out = 0.0
-    for k in range(N):
-        q1, q2 = path.nodes[k], path.nodes[k + 1]
-        d = distance(q1, q2)
-        g1, g2 = distance_gradient(q1, q2)
-        out += N * d * (np.dot(g1, V[k]) + np.dot(g2, V[k + 1]))
-    return out
+from .hyperbolic_core import PointH3, christoffel
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,148 @@
+"""Independent oracles that the tests read and no command runs: closed forms
+and geometric checks for cords, paths, curvature, metrics, polygons and
+truncated triangles."""
+
+import math
+
+import numpy as np
+
+from cordspec.cord_engine import Cord
+from cordspec.hyperbolic_core import PointH3, distance, distance_gradient
+from cordspec.isometry_group import Moebius, apply_h3, is_infinity
+
+
+def cord_length(g, a0):
+    """Closed-form cord length 2 ln(a0 |c(g)|) of the class of g."""
+    return 2.0 * math.log(a0 * abs(g.c))
+
+
+def vertical_cord(g, a0):
+    """The cord from {z >= a0} to its image under g, vertical over a/c."""
+    return Cord.from_vertical(a0, g.a / g.c, cord_length(g, a0))
+
+
+def cord_point(cord, t):
+    """The point c(t), t in [0, 1], in closed form: on the hyperboloid model
+    the geodesic is (sinh((1-t)l) P + sinh(tl) Q) / sinh(l), and 1/z, x/z
+    and y/z are linear there."""
+    P, Q = cord.start, cord.end
+    u = math.sinh((1.0 - t) * cord.length)
+    v = math.sinh(t * cord.length)
+    s = math.sinh(cord.length)
+    f = (u / P.z + v / Q.z) / s
+    fs = f * s
+    return PointH3((u * P.x / P.z + v * Q.x / Q.z) / fs,
+                   (u * P.y / P.z + v * Q.y / Q.z) / fs, 1.0 / f)
+
+
+def cord_velocity(cord, t, h=1e-6):
+    """Coordinate velocity dc/dt by central differences."""
+    return (cord_point(cord, t + h).coords()
+            - cord_point(cord, t - h).coords()) / (2 * h)
+
+
+def z_profile(cord):
+    """(f0, b0) with 1/z(c(t)) = f0 cosh(l t) + b0 sinh(l t), from the
+    endpoint heights."""
+    f0 = 1.0 / cord.start.z
+    ell = cord.length
+    return f0, (1.0 / cord.end.z - f0 * math.cosh(ell)) / math.sinh(ell)
+
+
+def z_profile_residual(cord, samples=100):
+    """Max deviation of 1/z(c(t)) from the cosh/sinh profile on a grid."""
+    f0, b0 = z_profile(cord)
+    ell = cord.length
+    return max(abs(1.0 / cord_point(cord, t).z
+                   - f0 * math.cosh(ell * t) - b0 * math.sinh(ell * t))
+               for t in np.linspace(0.0, 1.0, samples).tolist())
+
+
+def path_energy(nodes):
+    """Discrete energy (N/2) sum_k d(q_k, q_{k+1})^2 of a nodal path; for
+    samples of a geodesic cord of length l it is l^2/2."""
+    return 0.5 * (len(nodes) - 1) * sum(
+        distance(p, q) ** 2 for p, q in zip(nodes, nodes[1:]))
+
+
+def first_variation(nodes, V):
+    """Directional derivative of ``path_energy`` for a nodal variation
+    field V of shape (N+1, 3), from the closed-form distance gradient."""
+    N = len(nodes) - 1
+    out = 0.0
+    for k in range(N):
+        g1, g2 = distance_gradient(nodes[k], nodes[k + 1])
+        out += N * distance(nodes[k], nodes[k + 1]) * (
+            np.dot(g1, V[k]) + np.dot(g2, V[k + 1]))
+    return out
+
+
+def inner(q, X, Y):
+    """Riemannian inner product of the vector components X, Y at q."""
+    return float(np.dot(X, Y)) / q.z**2
+
+
+def riemann(q, X, Y, Z):
+    """Curvature operator R(X, Y)Z = <Z, X>Y - <Z, Y>X (curvature -1)."""
+    return inner(q, Z, X) * np.asarray(Y) - inner(q, Z, Y) * np.asarray(X)
+
+
+def cyl_metric(cyl, a):
+    """Metric matrix of a ``CylMetric`` in (a, x, y) coordinates."""
+    r2 = cyl.rho(a) ** 2
+    return np.diag([1.0, r2, r2])
+
+
+def cusp_metric(a):
+    """Hyperbolic cusp metric da^2 + e^{-2a}(dx^2 + dy^2) in (a, x, y)."""
+    return np.diag([1.0, math.exp(-2 * a), math.exp(-2 * a)])
+
+
+def interior_angle(poly, k):
+    """Angle of a ``PolygonP`` at vertex v_k between its two edges: 0 at
+    the ideal (even) vertices, else from the edges' initial directions in
+    the disk model, which is conformal."""
+    if k % 2 == 0:
+        return 0.0
+    v = poly.vertex(k)
+
+    def direction(z):
+        w = (z - v) / (1.0 - v.conjugate() * z)
+        return w / abs(w)
+
+    d1, d2 = direction(poly.vertex(k + 1)), direction(poly.vertex(k - 1))
+    return math.acos(max(-1.0, min(1.0, (d1 * d2.conjugate()).real)))
+
+
+def angle_sum(poly):
+    return sum(interior_angle(poly, 2 * i - 1) for i in range(1, poly.p + 1))
+
+
+def reduction_to_vertical_plane(p, q, r):
+    """Isometry taking the ideal points (p, q, r) to (0, i, infinity), so
+    the totally geodesic plane through them becomes {x = 0}."""
+    if is_infinity(p):
+        m = Moebius(0, q - r, 1, -r)
+    elif is_infinity(q):
+        m = Moebius(1, -p, 1, -r)
+    elif is_infinity(r):
+        m = Moebius(1, -p, 0, q - p)
+    else:
+        m = Moebius(q - r, -p * (q - r), q - p, -r * (q - p))
+    return Moebius(1j, 0, 0, 1).compose(m)
+
+
+def plane_defect(g, sides):
+    """Max |x| over the g-images of the sides' endpoints: a geodesic arc
+    with both ends in the totally geodesic plane {x = 0} lies in it."""
+    return max(abs(apply_h3(g, p).x) for c in sides for p in (c.start, c.end))
+
+
+def penner_arcs(side_lengths):
+    """The horocyclic arc at each vertex of a truncated ideal triangle from
+    its side lengths alone, Penner's h-length (Comm. Math. Phys. 113, 1987):
+    exp((l_opposite - l_adjacent - l_adjacent') / 2), where side i joins
+    vertices i and i+1."""
+    s = side_lengths
+    return tuple(math.exp((s[(i + 1) % 3] - s[i] - s[i - 1]) / 2.0)
+                 for i in range(3))

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import conftest
+import oracles as orc
 
 from cordspec import cord_engine as ce
 from cordspec import flow_integrator as fl
@@ -17,8 +18,8 @@ from cordspec import triangle_geometry as tg
 from cordspec import variational as va
 from cordspec.cli import run_torus
 from cordspec.flow_integrator import CotangentState
-from cordspec.hyperbolic_core import (PointH3, TangentVec, christoffel,
-                                      christoffel_fd, inner, riemann_fd)
+from cordspec.hyperbolic_core import (PointH3, christoffel, christoffel_fd,
+                                      riemann_fd)
 from cordspec.isometry_group import INFINITY, Horoball, classify
 
 A0 = 1.2
@@ -45,11 +46,9 @@ def test_criterion_01_curvature_suite():
         q = PointH3(x, y, math.exp(rng.normal()))
         worst = max(worst, float(np.abs(christoffel(q.coords())
                                         - christoffel_fd(q.coords())).max()))
-        X = TangentVec(q, rng.normal(size=3))
-        Y = TangentVec(q, rng.normal(size=3))
-        num = inner(TangentVec(q, riemann_fd(q.coords(), X.vec(), Y.vec(),
-                                             Y.vec())), X)
-        den = inner(X, X) * inner(Y, Y) - inner(X, Y) ** 2
+        X, Y = rng.normal(size=3), rng.normal(size=3)
+        num = orc.inner(q, riemann_fd(q.coords(), X, Y, Y), X)
+        den = orc.inner(q, X, X) * orc.inner(q, Y, Y) - orc.inner(q, X, Y) ** 2
         worst = max(worst, abs(num / den + 1.0))
     elapsed = time.perf_counter() - t0
     report(1, f"curvature identities (residual {worst:.2e}, {elapsed:.1f}s)",
@@ -65,12 +64,13 @@ def test_criterion_02_horosphere_mean_curvature():
 def test_criterion_03_z_profile(fig8, spectrum):
     worst_res, bound_ok = 0.0, True
     for w in spectrum.words:
-        cord = ce.cord_for_class(fig8.evaluate(w), A0)
-        worst_res = max(worst_res, ce.z_profile_residual(cord))
-        f0, b0 = cord.profile
+        cord = orc.vertical_cord(fig8.evaluate(w), A0)
+        worst_res = max(worst_res, orc.z_profile_residual(cord))
+        f0, b0 = orc.z_profile(cord)
         bound_ok &= abs(b0) <= f0 + 1e-12
         ell = cord.length
-        fmax = max(1.0 / cord.point(t).z for t in np.linspace(0, 1, 17))
+        fmax = max(1.0 / orc.cord_point(cord, t).z
+                   for t in np.linspace(0, 1, 17))
         bound_ok &= fmax <= f0 * math.cosh(ell) + abs(b0) * math.sinh(ell) \
             + 1e-10
     report(3, f"cosh/sinh height profile on {len(spectrum.words)} cords "
@@ -85,7 +85,7 @@ def test_criterion_04_shooting_matches_closed_form(fig8):
     worst = 0.0
     for g in classes:
         cord = fl.shoot_neumann(B0, g)
-        worst = max(worst, abs(cord.length - ce.cord_length(g, A0)))
+        worst = max(worst, abs(cord.length - orc.cord_length(g, A0)))
     # uniqueness: perturbed starts (x, y, s, t) converge to the same cord
     g = classes[5]
     base = fl.shoot_neumann(B0, g)
@@ -112,21 +112,19 @@ def test_criterion_05_morse_index(fig8):
 def test_criterion_06_first_variation():
     cord = ce.Cord.from_vertical(A0, 0j, 1.0)
     N = 32
-    path = va.DiscretePath.from_cord(cord, N=N)
     rng = np.random.default_rng(4)
+    nodes = [orc.cord_point(cord, k / N) for k in range(N + 1)]
     nodes = [PointH3(q.x + 0.02 * rng.normal(), q.y + 0.02 * rng.normal(),
                      q.z * math.exp(0.02 * rng.normal()))
-             if 0 < k < N else q for k, q in enumerate(path.nodes)]
-    path = va.DiscretePath(nodes, path.horoballs)
+             if 0 < k < N else q for k, q in enumerate(nodes)]
     V = rng.normal(size=(N + 1, 3))
     V[0, 2] = V[-1, 2] = 0.0
-    analytic = va.first_variation(path, V)
+    analytic = orc.first_variation(nodes, V)
     h = 1e-6
 
     def shifted(sign):
-        moved = [PointH3(*(q.coords() + sign * h * V[k]))
-                 for k, q in enumerate(path.nodes)]
-        return va.energy(va.DiscretePath(moved, path.horoballs))
+        return orc.path_energy([PointH3(*(q.coords() + sign * h * V[k]))
+                                for k, q in enumerate(nodes)])
 
     fd = (shifted(1) - shifted(-1)) / (2 * h)
     rel = abs(analytic - fd) / max(1.0, abs(fd))
@@ -197,14 +195,14 @@ def test_criterion_10_cylinder_metrics():
     mono = True
     for a in np.concatenate([np.linspace(0.05, 1.5, 20),
                              np.linspace(2.0, 5.0, 20)]):
-        g, gi = fl.cusp_metric(float(a)), hi.metric(float(a))
+        g, gi = orc.cusp_metric(float(a)), orc.cyl_metric(hi, float(a))
         for _ in range(4):
             v = rng.normal(size=3)
             mono &= float(v @ g @ v) <= float(v @ gi @ v) + 1e-12
     for a in np.concatenate([np.linspace(0.05, 1.5, 15),
                              np.linspace(2.0, 2.5, 10),
                              np.linspace(3.0, 5.0, 15)]):
-        gi, gj = hi.metric(float(a)), hj.metric(float(a))
+        gi, gj = orc.cyl_metric(hi, float(a)), orc.cyl_metric(hj, float(a))
         for _ in range(4):
             v = rng.normal(size=3)
             mono &= float(v @ gj @ v) <= float(v @ gi @ v) + 1e-12
@@ -216,7 +214,7 @@ def test_criterion_11_torus_knot_complements():
     ok = True
     for p in (3, 5):
         poly = tk.build_polygon(p)
-        ok &= abs(poly.angle_sum() - 2 * math.pi) <= 1e-8
+        ok &= abs(orc.angle_sum(poly) - 2 * math.pi) <= 1e-8
     for (p, q) in ((2, 3), (2, 5), (3, 4)):
         params = tk.TorusKnotParams(p, q)
         for fp in tk.face_pairings(params)[:-1]:
@@ -231,19 +229,25 @@ def test_criterion_11_torus_knot_complements():
 
 def test_criterion_12_truncated_triangles(fig8):
     catalog = tg.triangle_catalog(fig8, A0, 4.0, ("b", "b", "BB"))
-    lb = ce.cord_length(fig8.evaluate("b"), A0)
-    lbb = ce.cord_length(fig8.evaluate("bb"), A0)
+    lb = orc.cord_length(fig8.evaluate("b"), A0)
+    lbb = orc.cord_length(fig8.evaluate("bb"), A0)
     ok = len(catalog) >= 1
-    worst_plane, worst_area, worst_side = 0.0, 0.0, 0.0
+    worst_plane, worst_area, worst_side, worst_arc = 0.0, 0.0, 0.0, 0.0
     for hexa in catalog:
-        g = tg.coplanar_reduce(*hexa.sides)
-        worst_plane = max(worst_plane, tg.plane_defect(g, hexa.sides))
+        g = orc.reduction_to_vertical_plane(*(B.center for B in hexa.horoballs))
+        worst_plane = max(worst_plane, orc.plane_defect(g, hexa.sides))
         worst_area = max(worst_area,
                          abs(hexa.area - (math.pi - sum(hexa.arc_lengths))))
+        # area = pi - sum(arcs) by construction, so the arcs are checked
+        # against their closed form in the side lengths
+        worst_arc = max([worst_arc] + [
+            abs(a - b) for a, b in zip(hexa.arc_lengths,
+                                       orc.penner_arcs(hexa.side_lengths))])
         s = sorted(hexa.side_lengths)
         worst_side = max(worst_side, abs(s[0] - lb), abs(s[1] - lb),
                          abs(s[2] - lbb))
     report(12, f"truncated triangles: coplanar {worst_plane:.2e}, "
-               f"Gauss-Bonnet {worst_area:.2e}, side match {worst_side:.2e}",
+               f"Gauss-Bonnet {worst_area:.2e}, Penner arcs {worst_arc:.2e}, "
+               f"side match {worst_side:.2e}",
            ok and worst_plane <= 1e-8 and worst_area <= 1e-6
-           and worst_side <= 1e-7)
+           and worst_arc <= 1e-12 and worst_side <= 1e-7)

@@ -6,6 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oracles import (cord_length, cord_point, cord_velocity, vertical_cord,
+                     z_profile, z_profile_residual)
+
 from cordspec import cord_engine as ce
 from cordspec.hyperbolic_core import distance
 from cordspec.isometry_group import (INFINITY, Horoball, Moebius,
@@ -19,20 +22,10 @@ def test_vertical_cord_geometry():
     assert cord.start.z == 2.0
     assert abs(cord.end.z - 2.0 * math.exp(-0.8)) < 1e-15
     assert abs(distance(cord.start, cord.end) - 0.8) < 1e-12
-    f0, b0 = cord.profile
-    assert f0 == b0 == 0.5
     # constant speed: d(c(0), c(t)) = t * length
     for t in (0.25, 0.5, 0.9):
-        assert abs(distance(cord.point(0), cord.point(t)) - t * 0.8) < 1e-12
-
-
-def test_cord_length_closed_form(fig8):
-    g = fig8.evaluate("b")
-    assert abs(ce.cord_length(g, A0) - 2 * math.log(A0)) < 1e-14
-    with pytest.raises(ValueError):
-        ce.cord_length(fig8.evaluate("a"), A0)  # peripheral
-    with pytest.raises(ValueError):
-        ce.cord_length(g, 1.0)  # tangent horoballs at threshold
+        d = distance(cord_point(cord, 0), cord_point(cord, t))
+        assert abs(d - t * 0.8) < 1e-12
 
 
 def test_common_perpendicular_matches_closed_form(fig8):
@@ -40,7 +33,7 @@ def test_common_perpendicular_matches_closed_form(fig8):
     for word in ("b", "ab", "bA", "abb"):
         g = fig8.evaluate(word)
         cord = ce.common_perpendicular(B0, image_horoball(g, B0))
-        assert abs(cord.length - ce.cord_length(g, A0)) < 1e-10
+        assert abs(cord.length - cord_length(g, A0)) < 1e-10
 
 
 def test_common_perpendicular_orthogonal_endpoints():
@@ -48,13 +41,13 @@ def test_common_perpendicular_orthogonal_endpoints():
     B1 = Horoball(0.7 - 0.3j, 0.4)
     cord = ce.common_perpendicular(B0, B1)
     # endpoint 0 on the horosphere at infinity: velocity purely vertical
-    v0 = cord.velocity(0.0)
+    v0 = cord_velocity(cord, 0.0)
     assert math.hypot(v0[0], v0[1]) < 1e-5 * abs(v0[2])
     assert abs(cord.start.z - 2.0) < 1e-10
     # endpoint 1 on the sphere: velocity parallel to the radial direction
     c = np.array([B1.center.real, B1.center.imag, B1.size / 2])
     rad = cord.end.coords() - c
-    v1 = cord.velocity(1.0)
+    v1 = cord_velocity(cord, 1.0)
     cosang = abs(rad @ v1) / (np.linalg.norm(rad) * np.linalg.norm(v1))
     assert cosang > 1.0 - 1e-8
 
@@ -80,29 +73,14 @@ def test_common_perpendicular_decides_tangency_as_cord_length(excess):
              (image_horoball(h, B0), image_horoball(h.compose(g), B0))]
     assert not pairs[1][0].is_at_infinity()
     if excess <= ce.TANGENT_TOL:
-        with pytest.raises(ValueError):
-            ce.cord_length(g, 1.0)
         for pair in pairs:
             with pytest.raises(ValueError, match="tangent"):
                 ce.common_perpendicular(*pair)
     else:
         for pair in pairs:
             cord = ce.common_perpendicular(*pair)
-            assert cord.length == pytest.approx(ce.cord_length(g, 1.0),
+            assert cord.length == pytest.approx(cord_length(g, 1.0),
                                                 rel=1e-6)
-
-
-def test_transformed_cord_is_isometric(fig8):
-    cord = ce.Cord.from_vertical(A0, 0j, 1.1)
-    g = fig8.evaluate("ab")
-    moved = cord.transformed(g)
-    assert abs(moved.length - cord.length) < 1e-14
-    assert abs(distance(moved.start, moved.end) - 1.1) < 1e-10
-    for t in (0.0, 0.3, 1.0):
-        lhs = moved.point(t).coords()
-        from cordspec.isometry_group import apply_h3
-        rhs = apply_h3(g, cord.point(t)).coords()
-        assert np.abs(lhs - rhs).max() < 1e-10
 
 
 def test_cord_between_finite_horoballs():
@@ -111,44 +89,31 @@ def test_cord_between_finite_horoballs():
     assert cord.centers[0] == B0.center
     assert cord.centers[1] == B1.center
     ell = cord.length
-    assert np.abs(cord.point(0.0).coords() - cord.start.coords()).max() < 1e-12
-    assert np.abs(cord.point(1.0).coords() - cord.end.coords()).max() < 1e-12
+    for t, end in ((0.0, cord.start), (1.0, cord.end)):
+        assert np.abs(cord_point(cord, t).coords()
+                      - end.coords()).max() < 1e-12
     ts = np.linspace(0.0, 1.0, 6)
     for s in ts:
         for t in ts:
-            d = distance(cord.point(s), cord.point(t))
+            d = distance(cord_point(cord, s), cord_point(cord, t))
             assert abs(d - abs(t - s) * ell) < 1e-10
     # the velocity is along the radius of each horosphere at its endpoint
     for B, t, q in ((B0, 0.0, cord.start), (B1, 1.0, cord.end)):
         rad = q.coords() - np.array([B.center.real, B.center.imag, B.size / 2])
-        v = cord.velocity(t)
+        v = cord_velocity(cord, t)
         cosang = abs(rad @ v) / (np.linalg.norm(rad) * np.linalg.norm(v))
         assert cosang > 1.0 - 1e-8
 
 
 def test_z_profile_residual_and_bounds(fig8):
-    B0 = Horoball(INFINITY, A0)
     for word in ("b", "aB", "bab"):
-        g = fig8.evaluate(word)
-        cord = ce.cord_for_class(g, A0)
-        assert ce.z_profile_residual(cord) < 1e-10
-        f0, b0 = cord.profile
+        cord = vertical_cord(fig8.evaluate(word), A0)
+        assert z_profile_residual(cord) < 1e-10
+        f0, b0 = z_profile(cord)
         assert abs(b0) <= f0 + 1e-12
         ell = cord.length
-        fmax = max(1.0 / cord.point(t).z for t in np.linspace(0, 1, 50))
+        fmax = max(1.0 / cord_point(cord, t).z for t in np.linspace(0, 1, 50))
         assert fmax <= f0 * math.cosh(ell) + abs(b0) * math.sinh(ell) + 1e-10
-
-
-def test_cord_for_class_has_the_closed_form_length(fig8):
-    # the cord of each printed class's word: vertical over a/c, with the
-    # closed-form length to the last bit
-    a0 = ce.max_embedded_height(fig8)
-    for w in ce.canonical_classes(fig8, a0, 2.5).words:
-        g = fig8.evaluate(w)
-        cord = ce.cord_for_class(g, a0)
-        assert cord.length == ce.cord_length(g, a0)
-        assert cord.start.z == a0
-        assert complex(cord.end.x, cord.end.y) == g.a / g.c
 
 
 def test_max_embedded_height(fig8, five_two):
@@ -297,7 +262,7 @@ def test_spectrum_centers_are_the_oracle_classes(fig8, L):
         got.add(key)
         assert key in oracle
         assert ell == pytest.approx(math.log(A0**2 * oracle[key]), abs=1e-12)
-        assert ce.cord_length(g, A0) == pytest.approx(ell, abs=1e-9)
+        assert cord_length(g, A0) == pytest.approx(ell, abs=1e-9)
     # the flood is complete: every oracle class is printed
     assert got == oracle.keys()
     assert len(got) == {2.0: 24, 3.0: 216, 4.0: 1416, 5.0: 10416}[L]
@@ -359,14 +324,3 @@ def test_spectrum_csv_is_the_json_to_12_digits(tmp_path, fig8, cutoff):
         assert path.read_bytes() == b"class_word,length,energy,action,f0,b0\r\n"
     else:
         assert len(rows) == 24
-
-
-def test_chord_lift_and_action():
-    cord = ce.Cord.from_vertical(A0, 0j, 1.3)
-    q = cord.point(0.4)
-    p = cord.velocity(0.4) / q.z**2  # cotangent lift: flat, p_i = v_i / z^2
-    # H = z^2 |p|^2 / 2 = length^2 / 2 along the unit-parameterized lift
-    H = 0.5 * q.z**2 * float(np.dot(p, p))
-    assert abs(H - 0.5 * 1.3**2) < 1e-8
-    assert cord.action() == pytest.approx(-0.5 * 1.3**2)
-

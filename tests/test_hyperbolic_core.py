@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracles import inner, riemann
+
 from cordspec.hyperbolic_core import (PointH3, TangentVec, christoffel,
                                       christoffel_fd, distance,
                                       distance_gradient, geodesic_point,
-                                      inner, metric_tensor, riemann,
-                                      riemann_fd)
+                                      metric_tensor, riemann_fd)
 
 coord = st.floats(-3, 3, allow_nan=False)
 height = st.floats(0.05, 20, allow_nan=False)
@@ -48,9 +49,9 @@ def test_christoffel_matches_finite_differences(q):
 @settings(max_examples=30, deadline=None)
 def test_riemann_matches_finite_differences(q, seed):
     rng = np.random.default_rng(seed)
-    X, Y, Z = (TangentVec(q, rng.normal(size=3)) for _ in range(3))
-    alg = riemann(q, X, Y, Z).vec()
-    num = riemann_fd(q.coords(), X.vec(), Y.vec(), Z.vec())
+    X, Y, Z = (rng.normal(size=3) for _ in range(3))
+    alg = riemann(q, X, Y, Z)
+    num = riemann_fd(q.coords(), X, Y, Z)
     scale = max(1.0, np.abs(alg).max())
     assert np.abs(alg - num).max() / scale < 1e-5
 
@@ -160,12 +161,11 @@ def test_stacked_fd_oracles_equal_their_point_loops():
 @settings(max_examples=40, deadline=None)
 def test_sectional_curvature_is_minus_one(q, seed):
     rng = np.random.default_rng(seed)
-    X = TangentVec(q, rng.normal(size=3))
-    Y = TangentVec(q, rng.normal(size=3))
-    den = inner(X, X) * inner(Y, Y) - inner(X, Y) ** 2
+    X, Y = rng.normal(size=3), rng.normal(size=3)
+    den = inner(q, X, X) * inner(q, Y, Y) - inner(q, X, Y) ** 2
     if den < 1e-6 * q.z**-4:
         return
-    k = inner(riemann(q, X, Y, Y), X) / den
+    k = inner(q, riemann(q, X, Y, Y), X) / den
     assert abs(k + 1.0) < 1e-10
 
 

