@@ -1,7 +1,8 @@
 """Command-line front end: verified-suite runner plus spectrum, index,
 torus, and triangle subcommands with JSON/CSV artifacts.
 
-Exit codes: 0 success, 1 numerical assertion failure, 2 I/O or config error.
+Exit codes: 0 success, 1 numerical assertion failure, a search stopped on
+its cap or a closed stdout, 2 I/O or config error.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from importlib import resources
@@ -380,12 +382,21 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG
     except (BudgetExceeded, CoverError) as e:
-        # the torus walk's cap bounds what --max-length may ask for; a flood
-        # that ran out of budget or found no cover has no proof that its
-        # class list is complete, so no list is printed
+        # a flood or a torus walk that stopped on its cap, or a flood that
+        # found no cover, has no proof that its list is complete, so none is
+        # printed; the option asked for is valid, so this is no usage error
         print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG if args.cmd == "torus" else EXIT_ASSERT
-    print(json.dumps(report, indent=1, default=float))
+        return EXIT_ASSERT
+    try:
+        print(json.dumps(report, indent=1, default=float))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: send what is left to devnull, so that the
+        # flush at shutdown does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_ASSERT
     return code
 
 

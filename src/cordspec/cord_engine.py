@@ -66,8 +66,10 @@ def common_perpendicular(B0: Horoball, B1: Horoball) -> Cord:
                 apply_h3(back, cord.end), (B0.center, B1.center))
 
 
-_ENTRY_JSON = ('  {\n   "class_word": %s,\n   "length": %r,\n   "energy": %r,'
-               '\n   "action": %r,\n   "f0": %s,\n   "b0": %s\n  }')
+# an entry is its quoted word, then the text that its length determines
+_ENTRY_HEAD = '  {\n   "class_word": '
+_ENTRY_TAIL = (',\n   "length": %r,\n   "energy": %r,\n   "action": %r,'
+               '\n   "f0": %s,\n   "b0": %s\n  }')
 
 
 @dataclass
@@ -86,24 +88,29 @@ class ActionSpectrum:
     def to_json(self) -> str:
         """``json.dumps`` of {cutoff, horoball_height, entries} with
         indent=1, byte for byte, without its pure-Python indenting encoder:
-        each entry fills a fixed template, its words quoted and its finite
-        floats written by ``float.__repr__`` as json writes them."""
+        each entry is its word, quoted, then the rest of a fixed template,
+        filled once per distinct length with the finite floats written by
+        ``float.__repr__`` as json writes them."""
         head = '{\n "cutoff": %s,\n "horoball_height": %s,\n "entries": ' % (
             json.dumps(self.cutoff), json.dumps(self.horoball_height))
         if not self.words:
             return head + "[]\n}"
         f0 = repr(1.0 / self.horoball_height)
-        return head + "[\n" + ",\n".join(_ENTRY_JSON % (
-            encode_basestring_ascii(w), ell, 0.5 * ell**2, -0.5 * ell**2,
-            f0, f0) for w, ell in zip(self.words, self.lengths)) + "\n ]\n}"
+        tails = {ell: _ENTRY_TAIL % (ell, 0.5 * ell**2, -0.5 * ell**2, f0, f0)
+                 for ell in set(self.lengths)}
+        return head + "[\n" + ",\n".join([
+            _ENTRY_HEAD + encode_basestring_ascii(w) + tails[ell]
+            for w, ell in zip(self.words, self.lengths)]) + "\n ]\n}"
 
     def write_csv(self, path):
         f0 = f"{1.0 / self.horoball_height:.12g}"
+        tails = {ell: [f"{ell:.12g}", f"{0.5 * ell**2:.12g}",
+                       f"{-0.5 * ell**2:.12g}", f0, f0]
+                 for ell in set(self.lengths)}
         with open(path, "w", newline="") as f:
             w = csv.writer(f)
             w.writerow(["class_word", "length", "energy", "action", "f0", "b0"])
-            w.writerows([word, f"{ell:.12g}", f"{0.5 * ell**2:.12g}",
-                         f"{-0.5 * ell**2:.12g}", f0, f0]
+            w.writerows([word, *tails[ell]]
                         for word, ell in zip(self.words, self.lengths))
 
     def write_json(self, path):

@@ -545,9 +545,14 @@ def enumerate_elements(rep: GroupPresentation, max_radius: float,
         p, vs = g[:, parent[step]], v[step]
         g = _compose(k[:, j[step]], np.array([p[0] + vs * p[2],
                                               p[1] + vs * p[3], p[2], p[3]]))
-        jmn, at = np.unique(np.array([j[step], m[step], n[step]]), axis=1,
-                            return_inverse=True)
-        heads = [prefix(*x) for x in jmn.T.tolist()]
+        # one integer code per (move, m, n), so each prefix is spelled once
+        js, ms, ns = j[step], m[step], n[step]
+        m0, n0 = ms.min(initial=0), ns.min(initial=0)
+        span_m, span_n = ms.max(initial=0) - m0 + 1, ns.max(initial=0) - n0 + 1
+        _, first, at = np.unique((js * span_m + ms - m0) * span_n + ns - n0,
+                                 return_index=True, return_inverse=True)
+        heads = [prefix(*x) for x in zip(
+            js[first].tolist(), ms[first].tolist(), ns[first].tolist())]
         words = [_join(heads[i], words[q])
                  for i, q in zip(at.tolist(), parent[step].tolist())]
 

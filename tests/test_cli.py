@@ -347,10 +347,12 @@ def test_torus_subcommand(capsys, tmp_path):
 
 
 def test_torus_budget_overrun_is_reported(capsys):
-    # the word search keeps more than its element cap before the cutoff
+    # the word search keeps more than its element cap before the cutoff;
+    # the cutoff is a valid value, so this is the flood overrun's code, not
+    # a usage error
     code, rep, err = run(capsys, ["torus", "--p", "2", "--q", "5",
                                   "--max-length", "12"])
-    assert code == 2 and rep is None
+    assert code == 1 and rep is None
     assert err.strip() == "error: element cap 500000 exceeded"
 
 
@@ -397,6 +399,22 @@ def test_module_entry_point():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout)["ok"] is True
+
+
+def test_closed_stdout_exits_1_without_a_traceback():
+    # the read end is closed before the command starts, so its write fails
+    # for certain
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        out = subprocess.run([sys.executable, "-m", "cordspec", "verify",
+                              "--suite", "mean_curvature"], env=_src_env(),
+                             stdout=w, stderr=subprocess.PIPE, text=True,
+                             timeout=120)
+    finally:
+        os.close(w)
+    assert out.returncode == 1, out.stderr
+    assert "Traceback" not in out.stderr, out.stderr
 
 
 def test_cli_import_defers_scipy_solvers():

@@ -333,6 +333,11 @@ def test_lattice_disks_list_the_lattice_vectors_in_order(seed):
 def test_flood_names_each_class_by_its_first_step(fig8, five_two):
     assert flood_names(fig8, 3.0, 1.2) == flood_oracle(
         fig8, math.exp(1.5) / 1.2)
+    # 504 classes, whose steps reach negative m and n, and a last level
+    # with no new class
+    names = flood_names(fig8, 3.5, 1.2)
+    assert len(names) == 504
+    assert names == flood_oracle(fig8, math.exp(1.75) / 1.2)
     assert flood_names(five_two, 2 * math.log(2.5)) == flood_oracle(
         five_two, 2.5)
 
