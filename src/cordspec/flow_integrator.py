@@ -9,7 +9,6 @@ omega_0 = sum dq^i ^ dp_i and theta = sum p_i dq^i.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -427,26 +426,13 @@ def _E_prime(t: float) -> float:
 EPS0 = 0.033205613193650971
 
 
-@functools.cache
-def _gauss_legendre() -> tuple:
-    """(node, weight) pairs of the 64-node rule on [-1, 1], built on first
-    use."""
-    x, w = np.polynomial.legendre.leggauss(64)
-    return tuple(zip(x.tolist(), w.tolist()))
-
-
-def _integrate(f, lo: float, hi: float) -> float:
-    """Gauss-Legendre quadrature of a smooth scalar function on [lo, hi]."""
-    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return h * sum(w * f(c + h * x) for x, w in _gauss_legendre())
-
-
 class CylMetric:
     """Cylindrical adjustment metric da^2 + rho_i(a)^2 (dx^2 + dy^2).
 
     rho_i = exp(-B_i) with B_i the integral of the interpolation profile
     A_i: 1 up to i - 1/2, then E, cut off by tau over the collar
-    (i - EPS0, i), and 0 from i on.  EPS0 fixes int_0^i A_i = i.
+    (i - EPS0, i), and 0 from i on.  EPS0 fixes int_0^i A_i = i.  Since
+    rho' = -A rho, the curvatures need only A and A'; rho is never formed.
     """
 
     def __init__(self, level: int):
@@ -472,30 +458,8 @@ class CylMetric:
         u = (a - (i - EPS0)) / EPS0
         return _E_prime(s) * _tau01(u) + _E(s) * _tau01_prime(u) / EPS0
 
-    def B(self, a: float) -> float:
-        """int_0^a A, by Gauss-Legendre on each side of i - EPS0, where
-        the formula of A changes."""
-        i = self.level
-        if a <= i - 0.5:
-            return a
-        if a >= i:
-            return float(i)
-        cut = i - EPS0
-        if a <= cut:
-            return (i - 0.5) + _integrate(self.A, i - 0.5, a)
-        return ((i - 0.5) + _integrate(self.A, i - 0.5, cut)
-                + _integrate(self.A, cut, a))
-
-    def rho(self, a: float) -> float:
-        return math.exp(-self.B(a))
-
-    def rho_prime(self, a: float) -> float:
-        return -self.A(a) * self.rho(a)
-
-    def rho_second(self, a: float) -> float:
-        return (self.A(a) ** 2 - self.A_prime(a)) * self.rho(a)
-
     def sectional_curvatures(self, a: float) -> tuple:
-        """(K(dx,dy), K(da,dx)) = (-(rho'/rho)^2, -rho''/rho)."""
-        r = self.rho(a)
-        return (-((self.rho_prime(a) / r) ** 2), -self.rho_second(a) / r)
+        """(K(dx,dy), K(da,dx)) = (-(rho'/rho)^2, -rho''/rho), which are
+        (-A^2, A' - A^2) by rho' = -A rho and rho'' = (A^2 - A') rho."""
+        A = self.A(a)
+        return (-(A * A), self.A_prime(a) - A * A)

@@ -2,11 +2,13 @@
 and geometric checks for cords, paths, curvature, metrics, polygons and
 truncated triangles."""
 
+import functools
 import math
 
 import numpy as np
 
 from cordspec.cord_engine import Cord
+from cordspec.flow_integrator import EPS0, CylMetric
 from cordspec.hyperbolic_core import PointH3, distance, distance_gradient
 from cordspec.isometry_group import Moebius, apply_h3, is_infinity
 
@@ -87,8 +89,53 @@ def riemann(q, X, Y, Z):
     return inner(q, Z, X) * np.asarray(Y) - inner(q, Z, Y) * np.asarray(X)
 
 
+@functools.cache
+def _gauss_legendre():
+    """(node, weight) pairs of the 64-node rule on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(64)
+    return tuple(zip(x.tolist(), w.tolist()))
+
+
+def _integrate(f, lo, hi):
+    """Gauss-Legendre quadrature of a smooth scalar function on [lo, hi]."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return h * sum(w * f(c + h * x) for x, w in _gauss_legendre())
+
+
+class CylRho(CylMetric):
+    """The rho route of a ``CylMetric``: rho = exp(-B) with B = int_0^a A by
+    64-node Gauss-Legendre on each side of i - EPS0, where the formula of A
+    changes, and the curvatures -(rho'/rho)^2 and -rho''/rho from rho."""
+
+    def B(self, a):
+        i = self.level
+        if a <= i - 0.5:
+            return a
+        if a >= i:
+            return float(i)
+        cut = i - EPS0
+        if a <= cut:
+            return (i - 0.5) + _integrate(self.A, i - 0.5, a)
+        return ((i - 0.5) + _integrate(self.A, i - 0.5, cut)
+                + _integrate(self.A, cut, a))
+
+    def rho(self, a):
+        return math.exp(-self.B(a))
+
+    def rho_prime(self, a):
+        return -self.A(a) * self.rho(a)
+
+    def rho_second(self, a):
+        return (self.A(a) ** 2 - self.A_prime(a)) * self.rho(a)
+
+    def rho_curvatures(self, a):
+        """(K(dx,dy), K(da,dx)) = (-(rho'/rho)^2, -rho''/rho)."""
+        r = self.rho(a)
+        return (-((self.rho_prime(a) / r) ** 2), -self.rho_second(a) / r)
+
+
 def cyl_metric(cyl, a):
-    """Metric matrix of a ``CylMetric`` in (a, x, y) coordinates."""
+    """Metric matrix of a ``CylRho`` in (a, x, y) coordinates."""
     r2 = cyl.rho(a) ** 2
     return np.diag([1.0, r2, r2])
 

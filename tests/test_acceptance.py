@@ -185,12 +185,12 @@ def test_criterion_09_form_identities():
 
 
 def test_criterion_10_cylinder_metrics():
-    cyl = fl.CylMetric(2)
+    cyl = orc.CylRho(2)
     grid = np.linspace(1e-4, 3.0, 10_000)
     rho_min = min(cyl.rho_second(float(a)) for a in grid)
     curv_ok = all(k <= 1e-14 for a in np.linspace(0.05, 3.0, 200)
                   for k in cyl.sectional_curvatures(float(a)))
-    hi, hj = fl.CylMetric(2), fl.CylMetric(3)
+    hi, hj = orc.CylRho(2), orc.CylRho(3)
     rng = np.random.default_rng(2)
     mono = True
     for a in np.concatenate([np.linspace(0.05, 1.5, 20),

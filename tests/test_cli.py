@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from importlib import resources
@@ -78,13 +79,13 @@ def test_verify_suites_draw_the_per_point_loop_samples(monkeypatch):
         cli._SUITES[suite][0]()
     assert {k: len(v) for k, v in calls.items()} == dict.fromkeys(calls, 1)
 
-    rng = np.random.default_rng(7)
+    gauss = random.Random(7).gauss
     q, X, Y = [], [], []
     for _ in range(100):
-        x, y = rng.normal(size=2)
-        q.append([x, y, math.exp(rng.normal())])
-        X.append(rng.normal(size=3))
-        Y.append(rng.normal(size=3))
+        x, y = gauss(0.0, 1.0), gauss(0.0, 1.0)
+        q.append([x, y, math.exp(gauss(0.0, 1.0))])
+        X.append([gauss(0.0, 1.0) for _ in range(3)])
+        Y.append([gauss(0.0, 1.0) for _ in range(3)])
     for name in ("christoffel", "christoffel_fd"):
         assert np.array_equal(calls[name][0][0], q)
     for got, want in zip(calls["riemann_fd"][0], (q, X, Y, Y)):
@@ -92,13 +93,26 @@ def test_verify_suites_draw_the_per_point_loop_samples(monkeypatch):
 
     for name, seed in (("form_identity_residuals", 11),
                        ("plurisubharmonic_value", 13)):
-        rng = np.random.default_rng(seed)
+        gauss = random.Random(seed).gauss
         states = []
         for _ in range(30):
-            x, y = rng.normal(size=2)
-            z = math.exp(rng.normal(scale=0.7))
-            states.append([x, y, z, *rng.normal(size=3)])
+            x, y = gauss(0.0, 1.0), gauss(0.0, 1.0)
+            z = math.exp(0.7 * gauss(0.0, 1.0))
+            states.append([x, y, z, *(gauss(0.0, 1.0) for _ in range(3))])
         assert np.array_equal(calls[name][0][0], states)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+def test_verify_residuals_hold_at_other_seeds(monkeypatch, seed):
+    # the suites' seeds 7, 11 and 13 are not hand-picked: on the points of
+    # other seeds each finite-difference residual is at roundoff too, under
+    # the bound that CI asserts on the printed ones
+    draw = cli._normal_rows
+    monkeypatch.setattr(cli, "_normal_rows",
+                        lambda _, n, m: draw(seed, n, m))
+    for suite in ("curvature", "forms", "psh"):
+        res = cli._SUITES[suite][0]()
+        assert res <= 1e-7, (suite, res)
 
 
 def test_verify_unknown_suite_is_config_error(capsys):

@@ -5,9 +5,10 @@ import re
 import numpy as np
 import pytest
 
-from oracles import (cord_length, cord_point, cusp_metric, cyl_metric,
-                     vertical_cord)
+from oracles import (CylRho, cord_length, cord_point, cusp_metric,
+                     cyl_metric, vertical_cord)
 
+from cordspec import cli
 from cordspec import cord_engine as ce
 from cordspec import flow_integrator as fl
 from cordspec import hyperbolic_core as hc
@@ -18,8 +19,8 @@ from cordspec.isometry_group import INFINITY, Horoball, image_horoball
 
 def rand_states(n, seed=3):
     """n states (x, y, z, p) as rows, drawn state by state: x, y and p
-    standard normal, log z normal of scale 0.7 (the draws of the verify
-    suites' states)."""
+    standard normal, log z normal of scale 0.7 (the distribution of the
+    verify suites' states)."""
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(n):
@@ -570,7 +571,7 @@ def test_cutoff_function_shape():
 
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_cyl_metric_area_normalization(level):
-    cyl = fl.CylMetric(level)
+    cyl = CylRho(level)
     from scipy.integrate import quad
 
     # adaptive quadrature with a break point where the formula of A
@@ -592,7 +593,7 @@ def test_cyl_metric_area_normalization(level):
 
 
 def test_rho_convex_on_dense_grid():
-    cyl = fl.CylMetric(2)
+    cyl = CylRho(2)
     grid = np.linspace(1e-4, 2.0 + 1.0, 10_000)
     worst = min(cyl.rho_second(float(a)) for a in grid)
     assert worst >= -1e-12
@@ -609,6 +610,30 @@ def test_cyl_sectional_curvatures_nonpositive():
                 assert k1 == pytest.approx(-1.0) and k2 == pytest.approx(-1.0)
 
 
+def test_closed_form_curvatures_are_the_rho_route(monkeypatch):
+    # (-A^2, A' - A^2) against (-(rho'/rho)^2, -rho''/rho) from the
+    # quadrature of rho, on grids through each cutoff collar
+    for level in (1, 2, 3):
+        cyl, route = fl.CylMetric(level), CylRho(level)
+        grid = np.concatenate([np.linspace(0.05, level + 1.0, 200),
+                               np.linspace(level - fl.EPS0, level, 50)])
+        for a in grid.tolist():
+            k, want = cyl.sectional_curvatures(a), route.rho_curvatures(a)
+            assert max(abs(k[0] - want[0]), abs(k[1] - want[1])) <= 1e-12
+    # the verify suite's one grid samples the collar (2 - EPS0, 2)
+    seen = []
+    K = fl.CylMetric.sectional_curvatures
+
+    def spy(self, a):
+        seen.append((self.level, a))
+        return K(self, a)
+
+    monkeypatch.setattr(fl.CylMetric, "sectional_curvatures", spy)
+    assert cli._SUITES["cylinder"][0]() == 0.0
+    assert {level for level, _ in seen} == {2}
+    assert sum(2 - fl.EPS0 < a < 2 for _, a in seen) >= 5
+
+
 def _quadratic_form(gmat, v):
     return float(np.asarray(v) @ gmat @ np.asarray(v))
 
@@ -617,8 +642,8 @@ def test_metric_monotonicities_on_defining_regimes():
     # h <= h_i and h_j <= h_i (j > i) away from the smoothing collar
     # (i - 1/2, i), where any smooth area-normalized profile must dip
     i, j = 2, 3
-    hi = fl.CylMetric(i)
-    hj = fl.CylMetric(j)
+    hi = CylRho(i)
+    hj = CylRho(j)
     rng = np.random.default_rng(0)
     samples = np.concatenate([np.linspace(0.05, i - 0.5, 30),
                               np.linspace(i, j + 2.0, 40)])

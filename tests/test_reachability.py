@@ -97,3 +97,28 @@ def test_every_function_in_src_is_run_or_allowed(tmp_path):
     unreached = {name for (f, line), name in defined_functions().items()
                  if (f, line, name.rsplit(".", 1)[-1]) not in reached}
     assert unreached == set(ALLOWED)
+
+
+LAZY = """
+import contextlib, io, json, sys
+from cordspec import cli
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+    loaded = sorted(m for m in sys.modules
+                    if m.split(".")[:2] in (["numpy", "random"],
+                                            ["numpy", "polynomial"]))
+    assert not loaded, (argv, loaded)
+"""
+
+
+def test_no_command_loads_numpy_random_or_polynomial(tmp_path):
+    # numpy loads both subpackages on first use only, at several ms each
+    # of a command's time; the verify suites draw from the random module
+    # and the cylinder suite needs no quadrature
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(PKG.parent)] + sys.path))
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY, json.dumps(COMMANDS)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
