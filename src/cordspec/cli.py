@@ -306,8 +306,9 @@ def run_triangle(cfg: RunConfig, words, out_path=None) -> tuple:
     except ValueError as e:
         raise ConfigError(str(e))
     data = [h.to_dict() for h in catalog]
-    report = {"subcommand": "triangle", "ok": True, "classes": list(words),
-              "triangles": data}
+    report = {"subcommand": "triangle", "ok": True, "height": a0,
+              "cutoff": cfg.cutoff, "classes": list(words), "triangles": data}
+    _validate_scalar_schema(report, ("height", "cutoff"))
     if out_path:
         with open(out_path, "w") as f:
             json.dump(report, f, indent=1)

@@ -1,21 +1,18 @@
-"""Geodesic cords of a horo-torus: common perpendiculars between horoballs,
-and the action spectrum, with closed-form lengths, over the peripheral
-double cosets that the Ford-descent flood enumerates."""
+"""Geodesic cords of a horo-torus: the ``Cord`` record that the Neumann
+shooter returns, and the action spectrum, with closed-form lengths, over the
+peripheral double cosets that the Ford-descent flood enumerates."""
 
 from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .hyperbolic_core import PointH3
-from .isometry_group import (INFINITY, GroupPresentation, Horoball, Moebius,
-                             apply_h3, enumerate_elements, ford_moves,
-                             image_horoball)
+from .isometry_group import GroupPresentation, enumerate_elements, ford_moves
 
 # a0 |c(g)| <= 1 + TANGENT_TOL: the horoballs of g's class touch or overlap
 TANGENT_TOL = 1e-9
@@ -30,40 +27,6 @@ class Cord:
     start: PointH3
     end: PointH3
     centers: tuple
-
-    @classmethod
-    def from_vertical(cls, a0: float, center: complex, length: float) -> "Cord":
-        """Cord that is the vertical segment over ``center`` from z = a0 down
-        to z = a0 e^{-length}."""
-        cx, cy = center.real, center.imag
-        start = PointH3(cx, cy, a0)
-        end = PointH3(cx, cy, a0 * math.exp(-length))
-        return cls(length, start, end, (INFINITY, center))
-
-
-def common_perpendicular(B0: Horoball, B1: Horoball) -> Cord:
-    """The unique geodesic arc meeting both horospheres orthogonally, from
-    B0 to B1.
-
-    Horoballs that are tangent or overlap are rejected, as in
-    ``canonical_classes``, on e^{l/2} = sqrt(a0 / d) once B0's center is
-    moved to infinity; so are centers that ``image_horoball`` finds equal.
-    """
-    inf0, inf1 = B0.is_at_infinity(), B1.is_at_infinity()
-    if inf0 and inf1:
-        raise ValueError("horoballs share a center")
-    if inf0:
-        a0, d = B0.size, B1.size
-        if math.sqrt(a0 / d) <= 1.0 + TANGENT_TOL:
-            raise ValueError("tangent or overlapping horoballs (no cord)")
-        return Cord.from_vertical(a0, B1.center, math.log(a0 / d))
-    # move B0's center to infinity with m: w -> -1/(w - w0), map the
-    # endpoints back, and keep the centers as given
-    m = Moebius(0, -1, 1, -B0.center)
-    cord = common_perpendicular(image_horoball(m, B0), image_horoball(m, B1))
-    back = m.inverse()
-    return Cord(cord.length, apply_h3(back, cord.start),
-                apply_h3(back, cord.end), (B0.center, B1.center))
 
 
 # an entry is its quoted word, then the text that its length determines

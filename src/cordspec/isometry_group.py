@@ -1,4 +1,4 @@
-"""PSL(2,C) isometries of H^3: Moebius action, Poincare extension,
+"""PSL(2,C) isometries of H^3: Moebius action on the boundary sphere,
 horoball images, presentation checks, the breadth-first word search, and
 the Ford-descent flood over the cord classes of a cusped holonomy group."""
 
@@ -10,8 +10,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .hyperbolic_core import PointH3
 
 INFINITY = complex("inf")
 
@@ -75,22 +73,6 @@ def apply_boundary(g: Moebius, w):
     if abs(den) < 1e-15:
         return INFINITY
     return (g.a * w + g.b) / den
-
-
-def apply_h3(g: Moebius, q: PointH3) -> PointH3:
-    """Poincare extension of the Moebius action to upper half-space.
-
-    Using quaternionic coordinates w + z j: g(q) = (a(w+zj)+b)(c(w+zj)+d)^{-1}.
-    """
-    w = complex(q.x, q.y)
-    z = q.z
-    # denominator cq + d with q = w + z j
-    dc = g.c * w + g.d
-    den = abs(dc) ** 2 + abs(g.c) ** 2 * z**2
-    nu = (g.a * w + g.b) * dc.conjugate() + g.a * g.c.conjugate() * z**2
-    new_w = nu / den
-    new_z = z / den  # |ad - bc| = 1
-    return PointH3(new_w.real, new_w.imag, new_z)
 
 
 def classify(g: Moebius, tol: float = 1e-8) -> str:

@@ -1,16 +1,71 @@
 """Independent oracles that the tests read and no command runs: closed forms
 and geometric checks for cords, paths, curvature, metrics, polygons and
-truncated triangles."""
+truncated triangles, and the geometric route to the triangle catalog
+(Poincare extension, common perpendiculars, horoball truncation)."""
 
 import functools
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from cordspec.cord_engine import Cord
+from cordspec.cord_engine import TANGENT_TOL, Cord
 from cordspec.flow_integrator import EPS0, CylMetric
 from cordspec.hyperbolic_core import PointH3, distance, distance_gradient
-from cordspec.isometry_group import Moebius, apply_h3, is_infinity
+from cordspec.isometry_group import (INFINITY, PERIPHERAL_TOL, Horoball,
+                                     Moebius, apply_boundary, center_key,
+                                     image_horoball, is_infinity,
+                                     lattice_disks)
+
+
+def apply_h3(g, q):
+    """Poincare extension of the Moebius action to upper half-space.
+
+    Using quaternionic coordinates w + z j: g(q) = (a(w+zj)+b)(c(w+zj)+d)^{-1}.
+    """
+    w = complex(q.x, q.y)
+    z = q.z
+    # denominator cq + d with q = w + z j
+    dc = g.c * w + g.d
+    den = abs(dc) ** 2 + abs(g.c) ** 2 * z**2
+    nu = (g.a * w + g.b) * dc.conjugate() + g.a * g.c.conjugate() * z**2
+    new_w = nu / den
+    new_z = z / den  # |ad - bc| = 1
+    return PointH3(new_w.real, new_w.imag, new_z)
+
+
+def from_vertical(a0, center, length):
+    """Cord that is the vertical segment over ``center`` from z = a0 down
+    to z = a0 e^{-length}."""
+    cx, cy = center.real, center.imag
+    start = PointH3(cx, cy, a0)
+    end = PointH3(cx, cy, a0 * math.exp(-length))
+    return Cord(length, start, end, (INFINITY, center))
+
+
+def common_perpendicular(B0, B1):
+    """The unique geodesic arc meeting both horospheres orthogonally, from
+    B0 to B1.
+
+    Horoballs that are tangent or overlap are rejected, as in
+    ``canonical_classes``, on e^{l/2} = sqrt(a0 / d) once B0's center is
+    moved to infinity; so are centers that ``image_horoball`` finds equal.
+    """
+    inf0, inf1 = B0.is_at_infinity(), B1.is_at_infinity()
+    if inf0 and inf1:
+        raise ValueError("horoballs share a center")
+    if inf0:
+        a0, d = B0.size, B1.size
+        if math.sqrt(a0 / d) <= 1.0 + TANGENT_TOL:
+            raise ValueError("tangent or overlapping horoballs (no cord)")
+        return from_vertical(a0, B1.center, math.log(a0 / d))
+    # move B0's center to infinity with m: w -> -1/(w - w0), map the
+    # endpoints back, and keep the centers as given
+    m = Moebius(0, -1, 1, -B0.center)
+    cord = common_perpendicular(image_horoball(m, B0), image_horoball(m, B1))
+    back = m.inverse()
+    return Cord(cord.length, apply_h3(back, cord.start),
+                apply_h3(back, cord.end), (B0.center, B1.center))
 
 
 def cord_length(g, a0):
@@ -20,7 +75,7 @@ def cord_length(g, a0):
 
 def vertical_cord(g, a0):
     """The cord from {z >= a0} to its image under g, vertical over a/c."""
-    return Cord.from_vertical(a0, g.a / g.c, cord_length(g, a0))
+    return from_vertical(a0, g.a / g.c, cord_length(g, a0))
 
 
 def cord_point(cord, t):
@@ -193,3 +248,121 @@ def penner_arcs(side_lengths):
     s = side_lengths
     return tuple(math.exp((s[(i + 1) % 3] - s[i] - s[i - 1]) / 2.0)
                  for i in range(3))
+
+
+def _same_point(u, v, tol=1e-9):
+    """Whether two points of C u {inf} coincide."""
+    if is_infinity(u) or is_infinity(v):
+        return is_infinity(u) and is_infinity(v)
+    return abs(u - v) < tol
+
+
+@dataclass(frozen=True)
+class IdealTriangle:
+    """Three pairwise distinct ideal vertices on the boundary sphere."""
+
+    vertices: tuple
+
+    def __post_init__(self):
+        v = self.vertices
+        if len(v) != 3:
+            raise ValueError("need exactly three vertices")
+        for i in range(3):
+            for j in range(i + 1, 3):
+                if _same_point(v[i], v[j], 1e-13):
+                    raise ValueError("vertices must be pairwise distinct")
+
+
+@dataclass
+class Hexagon:
+    """A truncated ideal triangle built geometrically: its horoballs, the
+    three common perpendiculars ``sides`` between them (side i from vertex i
+    to i+1), their lengths, the arcs at the vertices and the area."""
+
+    triangle: IdealTriangle
+    horoballs: tuple
+    side_lengths: tuple
+    arc_lengths: tuple
+    area: float
+    sides: tuple
+
+
+def _arc_length_at_vertex(v, ball, u1, u2):
+    """Horocyclic arc on the horosphere at vertex v between the edge
+    geodesics toward the ideal points u1 and u2."""
+    if is_infinity(v):
+        a = ball.size
+        return abs(u1 - u2) / a
+    m = Moebius(0, -1, 1, -v)  # send v to infinity
+    bp = image_horoball(m, ball)
+    return abs(apply_boundary(m, u1) - apply_boundary(m, u2)) / bp.size
+
+
+def truncate(tri, horoballs):
+    """Cut a horoball neighborhood of each vertex off the ideal triangle.
+
+    Side i is the cord between the horoballs at vertices i and i+1 and its
+    length comes from ``common_perpendicular``; arc i sits on the
+    horosphere at vertex i.  Area is pi minus the total arc length: each
+    removed cusp region has hyperbolic area equal to the horocyclic arc
+    bounding it.
+    """
+    if len(horoballs) != 3:
+        raise ValueError("need exactly three horoballs")
+    v = tri.vertices
+    balls = tuple(horoballs)
+    for i, (w, B) in enumerate(zip(v, balls)):
+        if not _same_point(w, B.center):
+            raise ValueError(f"horoball {i} is not centered at vertex {i}")
+    sides = tuple(common_perpendicular(balls[i], balls[(i + 1) % 3])
+                  for i in range(3))
+    arcs = tuple(_arc_length_at_vertex(v[i], balls[i], v[(i + 1) % 3],
+                                       v[(i + 2) % 3]) for i in range(3))
+    return Hexagon(tri, balls, tuple(s.length for s in sides), arcs,
+                   math.pi - sum(arcs), sides)
+
+
+def hexagon_of(tri, a0):
+    """``truncate`` applied to a catalog ``TruncatedTriangle``'s vertices,
+    with {z >= a0} at vertex 0 = infinity and the ball of diameter
+    a0 e^{-l} at vertices 1 and 2, l being the side that joins it to
+    vertex 0."""
+    v, s = tri.vertices, tri.side_lengths
+    return truncate(IdealTriangle(v), (
+        Horoball(v[0], a0), Horoball(v[1], a0 * math.exp(-s[0])),
+        Horoball(v[2], a0 * math.exp(-s[2]))))
+
+
+def geometric_catalog(rep, a0, Lmax, words):
+    """``triangle_catalog``'s list by the geometric route: over the same
+    disk of lattice vectors v, h2 = e0 p e1 as a Moebius product, its ball
+    by ``image_horoball`` and each hexagon by ``truncate``, which rejects a
+    tangent e0 or e1.  [] when none is found; no embedded-height or
+    peripheral check."""
+    e0, e1, e2 = (rep.evaluate(w) for w in words)
+    cmax = math.exp(Lmax / 2.0) / a0
+    if abs(e0.c) > cmax or abs(e1.c) > cmax:
+        return []
+    target = center_key(e2.inverse(), rep)
+    B0 = Horoball(INFINITY, a0)
+    B1 = image_horoball(e0, B0)
+    mu, lam = rep.lattice_vectors()
+    center = -(e1.a / e1.c + e0.d / e0.c)
+    radius = cmax / abs(e0.c * e1.c) * (1.0 + 1e-9)
+    found = []
+    _, ms, ns = lattice_disks([center], [radius], mu, lam)
+    for mi, ni in zip(ms.tolist(), ns.tolist()):
+        h2 = e0.compose(Moebius(1, mi * mu + ni * lam, 0, 1)).compose(e1)
+        ac = abs(h2.c)
+        if not PERIPHERAL_TOL <= ac <= cmax or a0 * ac <= 1 + TANGENT_TOL:
+            continue
+        if center_key(h2, rep) != target:
+            continue
+        B2 = image_horoball(h2, B0)
+        try:
+            found.append(truncate(IdealTriangle((INFINITY, B1.center,
+                                                 B2.center)), (B0, B1, B2)))
+        except ValueError:
+            continue  # tangent horoballs
+    found.sort(key=lambda h: (sum(h.side_lengths), h.side_lengths))
+    return found

@@ -110,7 +110,7 @@ def test_criterion_05_morse_index(fig8):
 
 
 def test_criterion_06_first_variation():
-    cord = ce.Cord.from_vertical(A0, 0j, 1.0)
+    cord = orc.from_vertical(A0, 0j, 1.0)
     N = 32
     rng = np.random.default_rng(4)
     nodes = [orc.cord_point(cord, k / N) for k in range(N + 1)]
@@ -234,8 +234,9 @@ def test_criterion_12_truncated_triangles(fig8):
     ok = len(catalog) >= 1
     worst_plane, worst_area, worst_side, worst_arc = 0.0, 0.0, 0.0, 0.0
     for hexa in catalog:
-        g = orc.reduction_to_vertical_plane(*(B.center for B in hexa.horoballs))
-        worst_plane = max(worst_plane, orc.plane_defect(g, hexa.sides))
+        geo = orc.hexagon_of(hexa, A0)
+        g = orc.reduction_to_vertical_plane(*(B.center for B in geo.horoballs))
+        worst_plane = max(worst_plane, orc.plane_defect(g, geo.sides))
         worst_area = max(worst_area,
                          abs(hexa.area - (math.pi - sum(hexa.arc_lengths))))
         # area = pi - sum(arcs) by construction, so the arcs are checked

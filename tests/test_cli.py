@@ -386,6 +386,35 @@ def test_triangle_subcommand(capsys, tmp_path):
     assert json.loads(out.read_text())["classes"] == ["b", "b", "BB"]
 
 
+def test_triangle_cutoff_applies_to_every_side(capsys):
+    # at cutoff 1.0 spectrum lists only the four classes of length 0.3646,
+    # so the cord of bAABab (1.4633) is too long
+    words = ["triangle", "B", "bAABab", "BAb", "--height", "1.2"]
+    code, rep, err = run(capsys, words + ["--cutoff", "1.0"])
+    assert (code, rep) == (2, None)
+    assert err.strip() == ("error: classes are not composable within the "
+                           "length cutoff")
+    code, rep, _ = run(capsys, words + ["--cutoff", "1.5"])
+    assert code == 0 and len(rep["triangles"]) == 1
+    assert rep["triangles"][0]["side_lengths"] == pytest.approx(
+        [0.3646431135879092, 1.4632554022560196, 0.3646431135879092],
+        abs=1e-13)
+
+
+def test_triangle_reports_effective_height_and_cutoff(capsys):
+    # at the auto height 1 + 2e-16 the cords of b are tangent; these three
+    # classes, of length ln 3, compose
+    words = ["BAAABab", "bABAb", "BBab"]
+    code, rep, _ = run(capsys, ["triangle", *words, "--height", "auto",
+                                "--cutoff", "4"])
+    assert code == 0 and rep["triangles"]
+    assert rep["height"] == pytest.approx(1.0, abs=1e-9)
+    assert type(rep["height"]) is float and rep["cutoff"] == 4.0
+    code, rep = cli.run_triangle(RunConfig("triangle", cutoff=4), words)
+    assert code == 0 and type(rep["cutoff"]) is float
+    assert json.dumps(rep["cutoff"]) == "4.0"
+
+
 def test_triangle_peripheral_rejected(capsys):
     code, _, _ = run(capsys, ["triangle", "a", "b", "B", "--height", "1.2"])
     assert code == 2

